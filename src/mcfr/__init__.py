@@ -1,10 +1,11 @@
 """Frame + event multi-domain visual tracking lab.
 
-Core pipeline: synthesize or load frame sequences, simulate an event camera
-over them, stack events into count/timestamp grids, run the fusion network
-(spiking event branch, convolutional frame branch, shared common branch),
-track online, and evaluate. A FastAPI service (mcfr.service) wraps the
-pipeline; the CLI (mcfr.cli) is a thin client over the same handlers.
+A numpy-only library: synthesize or load frame sequences, simulate an
+event camera over them, stack events into count/timestamp grids, and run
+the fusion network (spiking event branch, convolutional frame branch,
+shared common branch, multi-domain heads) forward, backward and through
+SGD training, with checkpoints on disk. There is no online tracker,
+evaluation harness, service or command-line entry point yet.
 
 MCFR_THREADS caps BLAS parallelism (0 or unset = library default). It must
 take effect before numpy spins up its thread pools, hence the env fiddling

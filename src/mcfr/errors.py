@@ -23,6 +23,10 @@ class ConfigError(McfrError):
     """Invalid configuration value or combination."""
 
 
+class NonFiniteError(McfrError):
+    """A loss or gradient is NaN or infinite."""
+
+
 class CheckpointError(McfrError):
     """Corrupt, truncated, or incompatible checkpoint file."""
 

@@ -112,9 +112,16 @@ def read_netpbm(path) -> np.ndarray:
         start = pos
         while pos < len(data) and data[pos] not in b" \t\r\n":
             pos += 1
+        if pos == start:
+            raise McfrError(f"{path}: truncated header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise McfrError(f"{path}: non-numeric header field in {tokens}") from None
+    if w <= 0 or h <= 0:
+        raise McfrError(f"{path}: invalid dimensions {w}x{h}")
     if maxval != 255:
         raise McfrError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3

@@ -20,12 +20,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, GeometryError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    GeometryError,
+    McfrError,
+    NonFiniteError,
+)
 from .nn import (
     SGDConfig,
     SGDState,
@@ -50,6 +57,18 @@ CHECKPOINT_MAGIC = b"MCFR"
 CHECKPOINT_VERSION = 1
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _require_ints(spec, names: tuple[str, ...], minimum: int) -> None:
+    for name in names:
+        _require_int(f"{type(spec).__name__}.{name}", getattr(spec, name), minimum)
+
+
 @dataclass(frozen=True)
 class ConvBlockSpec:
     """One conv(+ReLU)(+max-pool) stage."""
@@ -60,6 +79,10 @@ class ConvBlockSpec:
     padding: int
     pool: int = 0  # 0 = no pooling
     pool_stride: int = 2
+
+    def __post_init__(self):
+        _require_ints(self, ("out_channels", "kernel", "stride", "pool_stride"), 1)
+        _require_ints(self, ("padding", "pool"), 0)
 
 
 @dataclass(frozen=True)
@@ -75,6 +98,15 @@ class SRMNetSpec:
     phi: float = 1.0
     dt: float = 1.0
     t_bins: int = 32
+
+    def __post_init__(self):
+        if len(self.channels) < 2:
+            raise ConfigError("SRMNetSpec needs input and output channel counts")
+        _require_ints(self, ("kernel", "stride"), 1)
+        _require_ints(self, ("padding",), 0)
+        for c in self.channels:
+            _require_int("SRMNetSpec.channels", c, 1)
+        self.srm_params()  # validates the time constants and t_bins
 
     def srm_params(self) -> SRMParams:
         return SRMParams(
@@ -160,8 +192,11 @@ class MCFRConfig:
     ablation: AblationFlags = AblationFlags()
 
     def __post_init__(self):
-        if self.num_domains < 1:
-            raise ConfigError("num_domains must be >= 1")
+        _require_ints(self, ("input_crop", "fusion_channels", "num_domains"), 1)
+        if len(self.fc_dims) != 2:
+            raise ConfigError("fc_dims holds the fc4 and fc5 widths")
+        for d in self.fc_dims:
+            _require_int("MCFRConfig.fc_dims", d, 1)
         if len(self.cfe) != 3 or len(self.uer) != 3:
             raise ConfigError("shared and RGB branches take exactly 3 conv blocks")
         if self.uee.channels[0] != 2:
@@ -607,7 +642,8 @@ def train_step(
 
     The batch is streamed through forward/backward in chunks to bound the
     im2col working set; gradients accumulate exactly as the mean over the
-    whole batch.
+    whole batch. A non-finite loss or gradient raises NonFiniteError and
+    leaves the model and the SGD state as they were.
     """
     n = batch.assembled.shape[0]
     if n == 0:
@@ -629,6 +665,12 @@ def train_step(
                 grads_acc[k] += g * weight
             else:
                 grads_acc[k] = g * weight
+    # refuse before sgd_step, so parameters and momentum stay untouched
+    if not math.isfinite(total_loss):
+        raise NonFiniteError(f"non-finite loss {total_loss}")
+    bad = sorted(k for k, g in grads_acc.items() if not np.isfinite(g).all())
+    if bad:
+        raise NonFiniteError(f"non-finite gradients for {bad}")
     sgd_step(model.params, grads_acc, sgd_cfg, sgd_state)
     return total_loss
 
@@ -654,6 +696,17 @@ def save_checkpoint(model: MCFRModel, path) -> None:
             fh.write(arr.astype("<f4").tobytes())
 
 
+def _decode_config(blob: bytes, path) -> MCFRConfig:
+    """The checkpoint's config JSON; any fault in it is a CheckpointError."""
+    try:
+        return MCFRConfig.from_dict(json.loads(blob.decode("utf-8")))
+    except (McfrError, ValueError, KeyError, TypeError) as exc:
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+        raise CheckpointError(
+            f"{path}: corrupt config ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_checkpoint(path) -> MCFRModel:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -664,27 +717,35 @@ def load_checkpoint(path) -> MCFRModel:
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         (cfg_len,) = struct.unpack_from("<I", data, 6)
-        cfg_json = data[10 : 10 + cfg_len].decode("utf-8")
-        config = MCFRConfig.from_dict(json.loads(cfg_json))
+        config = _decode_config(data[10 : 10 + cfg_len], path)
         pos = 10 + cfg_len
         arrays: dict[str, np.ndarray] = {}
         while pos < len(data):
             (name_len,) = struct.unpack_from("<H", data, pos)
             pos += 2
-            name = data[pos : pos + name_len].decode("utf-8")
+            try:
+                name = data[pos : pos + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
             pos += name_len
             (rank,) = struct.unpack_from("<B", data, pos)
             pos += 1
             dims = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)  # exact; np.prod wraps at 2**63
             raw = data[pos : pos + 4 * count]
             if len(raw) != 4 * count:
                 raise CheckpointError(f"{path}: truncated data for {name!r}")
             pos += 4 * count
-            arrays[name] = (
-                np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
-            )
+            values = np.frombuffer(raw, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+            try:
+                arrays[name] = values.astype(np.float64).reshape(dims)
+            except ValueError:  # a zero dim beside dims whose product overflows
+                raise CheckpointError(
+                    f"{path}: impossible shape {dims} for {name!r}"
+                ) from None
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from None
 

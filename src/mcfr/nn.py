@@ -36,7 +36,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     oh = conv_out_dim(h, kh, stride, pad)
     ow = conv_out_dim(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)

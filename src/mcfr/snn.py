@@ -11,6 +11,15 @@ The final layer of the event extractor emits its membrane drive without
 thresholding; averaging that drive over time gives the branch's feature
 map. Weights here are fixed after random initialization (no gradients
 flow into this branch).
+
+Layout: the public functions take and return (C, H, W, T) tensors, time
+last. Inside a spiking layer the convolution runs with time as its batch
+axis, and the simulation keeps that native time-major (T, O*H'*W')
+layout, so each step reads and writes one contiguous row. A spike adds
+the refractory tail only to the columns of the neurons that fired; a
+dense update would add 0*u = -0.0 to the others, which changes no value,
+so the result is the same to the bit. The spikes leave as an
+(O, H', W', T) view of the time-major buffer.
 """
 
 from __future__ import annotations
@@ -110,9 +119,8 @@ def synaptic_filter(x: np.ndarray, params: SRMParams) -> np.ndarray:
     t = x.shape[-1]
     taps = kernel_v(np.arange(t) * params.dt, params.tau_s)
     # lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*dt)
-    mat = np.zeros((t, t))
-    for k in range(t):
-        mat[k, : k + 1] = taps[k::-1]
+    lag = np.arange(t)[:, None] - np.arange(t)
+    mat = np.where(lag >= 0, taps[lag], 0.0)
     return x @ mat.T
 
 
@@ -134,19 +142,20 @@ def srm_layer_forward(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
     neuron's potential at all later steps k'.
     """
     p = layer.params
-    psp = _weighted_psp(x, layer)
-    t = psp.shape[-1]
-    u_tail = kernel_u(np.arange(1, t) * p.dt, p.tau_r, p.phi)
-    spikes = np.zeros_like(psp)
-    refr = np.zeros_like(psp)
+    # back to the conv's own contiguous (T,O,H',W') layout: a view, no copy
+    psp = _weighted_psp(x, layer).transpose(3, 0, 1, 2)
+    t = psp.shape[0]
+    drive = psp.reshape(t, -1)
+    u_tail = kernel_u(np.arange(1, t) * p.dt, p.tau_r, p.phi)[:, None]
+    fired = np.empty(drive.shape, dtype=bool)
+    refr = np.zeros_like(drive)
     for k in range(t):
-        potential = psp[..., k] + refr[..., k]
-        fired = (potential >= p.phi).astype(np.float64)
-        spikes[..., k] = fired
-        remaining = t - k - 1
-        if remaining and fired.any():
-            refr[..., k + 1 :] += fired[..., None] * u_tail[:remaining]
-    return spikes
+        np.greater_equal(drive[k] + refr[k], p.phi, out=fired[k])
+        if k + 1 < t:
+            cols = np.flatnonzero(fired[k])
+            if cols.size:
+                refr[k + 1 :, cols] += u_tail[: t - k - 1]
+    return fired.astype(np.float64).reshape(psp.shape).transpose(1, 2, 3, 0)
 
 
 def membrane_drive(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:

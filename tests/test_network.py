@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcfr.errors import CheckpointError, ConfigError
+from mcfr.errors import CheckpointError, ConfigError, McfrError, NonFiniteError
 from mcfr.network import (
     ABLATION_VARIANTS,
     AblationFlags,
+    ConvBlockSpec,
     MCFRConfig,
     MCFRModel,
     TrainBatch,
@@ -30,6 +35,8 @@ from mcfr.nn import (
     softmax_ce_forward,
 )
 from mcfr.snn import UeeNetwork
+
+from .strategies import corrupted
 
 
 def rand_inputs(config, n, seed=0):
@@ -251,6 +258,24 @@ class TestTrainStep:
         assert losses[-1] < 0.01
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("chunk", [64, 1])
+    def test_non_finite_refused_before_update(self, chunk):
+        config = MCFRConfig.tiny()
+        model = MCFRModel.initialize(config, seed=0)
+        state = SGDState()
+        train_step(model, self.make_batch(config), 0, default_sgd_config(), state)
+        params = {k: v.copy() for k, v in model.params.items()}
+        velocity = {k: v.copy() for k, v in state.velocity.items()}
+        batch = self.make_batch(config, seed=1)
+        batch.assembled[-1, 3, 5, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            train_step(model, batch, 0, default_sgd_config(), state, chunk=chunk)
+        for k, v in params.items():
+            assert np.array_equal(v, model.params[k]), k
+        assert velocity.keys() == state.velocity.keys()
+        for k, v in velocity.items():
+            assert np.array_equal(v, state.velocity[k]), k
+
     def test_uee_frozen_through_training(self):
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=0)
@@ -334,6 +359,46 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old,new", [
+        (b'"ablation"', b'"ablatiom"'),  # KeyError in from_dict
+        (b'"stride":2', b'"stride":0'),  # division by zero in conv_out_dim
+        (b'"fc_dims":[8,8]', b'"fc_dims":[8.8]'),  # one fc width
+        (b'"channels":[2,3,4]', b'"channels":[2,3.4]'),  # float width
+        (b'{"ablation"', b'{"ablation\xff'),  # not UTF-8
+        (b'{"ablation"', b'["ablation"'),  # not JSON
+        (b'"num_domains":2', b'"num_domains":0'),  # ConfigError
+    ])
+    def test_corrupt_config_rejected(self, tmp_path, old, new):
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        assert old in data
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(CheckpointError, match="corrupt config"):
+            load_checkpoint(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_impossible_shape_rejected(self, tmp_path):
+        # an empty array whose other dims multiply past the address space
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        record = b"\x07\x00cfe.0.b\x01\x04\x00\x00\x00"
+        assert record in data
+        huge = struct.pack("<4I", 0, 2**31, 2**31, 2**31)
+        bad = record[:9] + b"\x05" + record[10:] + huge
+        path.write_bytes(data.replace(record, bad, 1))
+        with pytest.raises(CheckpointError, match="impossible shape"):
+            load_checkpoint(path)
+
     def test_domain_count_preserved(self, tmp_path):
         config = MCFRConfig.tiny(num_domains=3)
         model = MCFRModel.initialize(config, seed=0)
@@ -355,3 +420,38 @@ class TestCheckpoint:
         assert single.config.num_domains == 1
         assert "fc6.1.w" not in single.params
         assert np.array_equal(single.params["fc4.w"], model.params["fc4.w"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_fuzz(tmp_path_factory, data):
+    # truncations and byte flips of a tiny checkpoint: only McfrError leaves
+    path = tmp_path_factory.mktemp("ckpt") / "model.mcfr"
+    save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+    valid = path.read_bytes()
+    cfg_len = int.from_bytes(valid[6:10], "little")
+    path.write_bytes(data.draw(corrupted(valid, hot=10 + cfg_len + 64)))
+    try:
+        load_checkpoint(path)
+    except McfrError:
+        pass
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("stride", 0), ("kernel", 0), ("out_channels", -1), ("padding", -1),
+        ("pool_stride", 0), ("kernel", 3.0), ("stride", True),
+    ])
+    def test_conv_block_rejects(self, field, value):
+        kw = dict(out_channels=4, kernel=3, stride=1, padding=0)
+        kw[field] = value
+        with pytest.raises(ConfigError):
+            ConvBlockSpec(**kw)
+
+    def test_model_config_rejects(self):
+        with pytest.raises(ConfigError):
+            MCFRConfig.tiny().with_num_domains(0)
+        with pytest.raises(ConfigError):
+            MCFRConfig(fc_dims=(512,))
+        with pytest.raises(ConfigError):
+            MCFRConfig(input_crop=107.0)

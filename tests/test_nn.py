@@ -5,6 +5,7 @@ from mcfr.errors import GeometryError
 from mcfr.nn import (
     SGDConfig,
     SGDState,
+    _im2col,
     adaptive_avgpool_backward,
     adaptive_avgpool_forward,
     conv2d_backward,
@@ -20,6 +21,8 @@ from mcfr.nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
+
+from .oracles import conv2d_oracle, im2col_oracle
 
 
 class TestConvForward:
@@ -60,6 +63,22 @@ class TestConvForward:
         y2, _ = conv2d_forward(x2, w, b)
         y3, _ = conv2d_forward(2.0 * x1 + 0.5 * x2, w, b)
         assert np.allclose(y3, 2.0 * y1 + 0.5 * y2, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (2, 3)])
+    def test_matches_np_pad_oracle(self, stride, pad):
+        # contiguous input, and the time-as-batch view the event branch uses
+        rng = np.random.default_rng(stride + 4 * pad)
+        w = rng.normal(0, 1, size=(4, 3, 3, 3))
+        b = rng.normal(0, 1, size=4)
+        contiguous = rng.normal(0, 1, size=(2, 3, 9, 8))
+        time_view = rng.normal(0, 1, size=(3, 9, 8, 5)).transpose(3, 0, 1, 2)
+        for x in (contiguous, time_view):
+            cols, oh, ow = _im2col(x, 3, 3, stride, pad)
+            ref_cols, ref_oh, ref_ow = im2col_oracle(x, 3, 3, stride, pad)
+            assert (oh, ow) == (ref_oh, ref_ow)
+            assert np.array_equal(cols, ref_cols)
+            y, _ = conv2d_forward(x, w, b, stride, pad)
+            assert np.array_equal(y, conv2d_oracle(x, w, b, stride, pad))
 
 
 class TestSimpleOps:

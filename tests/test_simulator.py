@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcfr.errors import ConfigError
-from mcfr.frames import FrameSequence, load_sequence, save_sequence, to_luminance
+from mcfr.errors import ConfigError, McfrError
+from mcfr.frames import (
+    FrameSequence,
+    load_sequence,
+    read_netpbm,
+    save_sequence,
+    to_luminance,
+    write_netpbm,
+)
 from mcfr.simulator import (
     ExposureConfig,
     SceneSpec,
@@ -11,6 +20,8 @@ from mcfr.simulator import (
     gen_synthetic_sequence,
     perturb_exposure,
 )
+
+from .strategies import corrupted
 
 
 def seq_from_values(values, interval=1000):
@@ -212,3 +223,35 @@ class TestSequenceDiskRoundTrip:
         assert back.is_color
         for a, b in zip(back.frames, seq.frames):
             assert np.array_equal(a, b)
+
+
+
+class TestNetpbmHeaderFaults:
+    @pytest.mark.parametrize("data,message", [
+        (b"P5\n", "truncated header"),
+        (b"P5 4 3", "truncated header"),
+        (b"P6 4 # comment", "truncated header"),
+        (b"P5 4 x3 255\n" + bytes(12), "non-numeric"),
+        (b"P5 0 3 255\n", "invalid dimensions 0x3"),
+        (b"P5 4 -3 255\n" + bytes(12), "invalid dimensions 4x-3"),
+        (b"P5 4 3 255\n" + bytes(11), "truncated raster"),
+    ])
+    def test_named_fault(self, tmp_path, data, message):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        with pytest.raises(McfrError, match=message):
+            read_netpbm(path)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 2, 3)])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_netpbm_fuzz(tmp_path_factory, shape, data):
+    # truncations and byte flips of a valid PGM/PPM: only McfrError leaves
+    path = tmp_path_factory.mktemp("pnm") / "f.pnm"
+    write_netpbm(path, np.arange(np.prod(shape), dtype=np.uint8).reshape(shape))
+    path.write_bytes(data.draw(corrupted(path.read_bytes(), hot=12)))
+    try:
+        read_netpbm(path)
+    except McfrError:
+        pass

@@ -3,6 +3,7 @@ import pytest
 
 from mcfr.errors import ConfigError
 from mcfr.events import Event, EventStream, TimeWindow
+from mcfr.network import MCFRConfig, MCFRModel
 from mcfr.snn import (
     SRMConvLayer,
     SRMParams,
@@ -16,6 +17,14 @@ from mcfr.snn import (
     srm_layer_forward,
     synaptic_filter,
     uee_forward,
+    uee_forward_spikes,
+)
+
+from .oracles import (
+    srm_layer_oracle,
+    synaptic_filter_oracle,
+    uee_forward_spikes_oracle,
+    weighted_psp_oracle,
 )
 
 # tau_r small enough that exp(-dt/tau_r) underflows to exactly 0
@@ -257,3 +266,83 @@ class TestReadout:
         drive = membrane_drive(x, layer)
         bound = np.abs(w).sum() * 1.0 * x.shape[-1]
         assert np.all(np.abs(drive) <= bound)
+
+
+def random_layer(rng, t_bins, stride=1, pad=1):
+    return SRMConvLayer(
+        weights=rng.normal(0, 0.8, size=(3, 2, 3, 3)), stride=stride,
+        padding=pad, params=params(t_bins=t_bins),
+    )
+
+
+def assert_matches_seed(x, layer):
+    """srm_layer_forward and membrane_drive equal the seed's loop versions
+    bit for bit, and the spikes keep the seed's time-major layout."""
+    out = srm_layer_forward(x, layer)
+    ref = srm_layer_oracle(x, layer)
+    assert np.array_equal(out, ref)
+    assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+    assert np.array_equal(membrane_drive(x, layer), weighted_psp_oracle(x, layer))
+    return out
+
+
+class TestSeedOracle:
+    @pytest.mark.parametrize("t_bins", [1, 2, 8, 32])
+    def test_synaptic_filter(self, t_bins):
+        rng = np.random.default_rng(t_bins)
+        x = (rng.random((2, 5, 6, t_bins)) < 0.3).astype(np.float64)
+        p = params(t_bins=t_bins)
+        assert np.array_equal(synaptic_filter(x, p), synaptic_filter_oracle(x, p))
+
+    @pytest.mark.parametrize("t_bins", [1, 2, 8, 32])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2)])
+    def test_srm_layer(self, t_bins, stride, pad):
+        rng = np.random.default_rng(10 * t_bins + stride + pad)
+        x = (rng.random((2, 9, 9, t_bins)) < 0.3).astype(np.float64)
+        assert_matches_seed(x, random_layer(rng, t_bins, stride, pad))
+
+    def test_zero_input(self):
+        layer = random_layer(np.random.default_rng(0), 8)
+        out = assert_matches_seed(np.zeros((2, 7, 7, 8)), layer)
+        assert not out.any()
+
+    @pytest.mark.parametrize("t_bins", [8, 32])
+    def test_repeated_firing(self, t_bins):
+        # all-positive weights over dense input: neurons fire again and
+        # again, and the refractory trace keeps some of them silent although
+        # the drive alone reaches phi, so the refractory path decides the output
+        rng = np.random.default_rng(t_bins)
+        layer = SRMConvLayer(
+            weights=0.3 * np.abs(rng.normal(0, 1.0, size=(3, 2, 3, 3))),
+            stride=1, padding=1, params=params(t_bins=t_bins),
+        )
+        x = (rng.random((2, 8, 8, t_bins)) < 0.5).astype(np.float64)
+        out = assert_matches_seed(x, layer)
+        assert out.sum(axis=-1).max() >= 2
+        drive = membrane_drive(x, layer)
+        assert np.any((drive >= layer.params.phi) & (out == 0.0))
+
+    def test_crop_views(self):
+        rng = np.random.default_rng(5)
+        big = (rng.random((2, 40, 50, 8)) < 0.3).astype(np.float64)
+        layer = random_layer(rng, 8, stride=2, pad=1)
+        for y, x in [(0, 0), (5, 7), (19, 29)]:
+            crop = big[:, y : y + 21, x : x + 21]
+            assert not crop.flags.c_contiguous
+            assert_matches_seed(crop, layer)
+
+    @pytest.mark.parametrize("config", [MCFRConfig.reduced(), MCFRConfig.tiny()])
+    def test_uee_forward_spikes(self, config):
+        net = MCFRModel.initialize(config, seed=0).uee
+        rng = np.random.default_rng(7)
+        size = config.input_crop
+        big = (rng.random((2, size + 20, size + 30, config.uee.t_bins)) < 0.2)
+        big = big.astype(np.float64)
+        hw = config.feature_hw
+        for y, x in [(0, 0), (3, 11), (20, 30)]:
+            crop = big[:, y : y + size, x : x + size]
+            assert srm_layer_forward(crop, net.layers[0]).any()
+            assert np.array_equal(
+                uee_forward_spikes(crop, net, hw),
+                uee_forward_spikes_oracle(crop, net, hw),
+            )
