@@ -157,9 +157,13 @@ def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
     ps: list[int] = []
     file_geometry: tuple[int, int] | None = None
     prev_t = None
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape turns a non-ASCII byte into a lone surrogate instead
+    # of raising mid-read, so the isascii check below can name its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                raise EventParseError("non-ASCII byte", lineno)
             if not line:
                 continue
             if line.startswith("#"):
@@ -194,7 +198,11 @@ def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
         width = max(xs, default=0) + 1
         height = max(ys, default=0) + 1
         geometry = (width, height)
-    return EventStream(ts, xs, ys, ps, geometry[0], geometry[1])
+    try:
+        return EventStream(ts, xs, ys, ps, geometry[0], geometry[1])
+    except OverflowError:
+        raise EventParseError("a field exceeds the int64 range of t or the "
+                              "int32 range of x and y") from None
 
 
 def save_events(stream: EventStream, path) -> None:

@@ -76,12 +76,21 @@ def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
 
 
 def conv2d_backward(dy, cache):
-    """Gradients (dx, dw, db) of a conv2d_forward call."""
+    """Gradients (dx, dw, db) of a conv2d_forward call.
+
+    dw is summed as one (O, P) @ (P, K) BLAS product per sample into a
+    single (O, K) buffer. An einsum over the two summed axes (sample and
+    position) runs numpy's own loop instead of BLAS, and one batched
+    matmul would allocate an (N, O, K) temporary before the sum.
+    """
     x_shape, cols, w, stride, pad, oh, ow = cache
     n = x_shape[0]
     o, c, kh, kw = w.shape
     dy2 = dy.reshape(n, o, oh * ow)
-    dw = np.einsum("nop,nkp->ok", dy2, cols).reshape(w.shape)
+    dw = np.zeros((o, c * kh * kw))
+    for i in range(n):
+        dw += dy2[i] @ cols[i].T
+    dw = dw.reshape(w.shape)
     db = dy2.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(o, -1).T, dy2)
     dx = _col2im(dcols, x_shape, kh, kw, stride, pad, oh, ow)

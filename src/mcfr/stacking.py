@@ -122,6 +122,10 @@ def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     if len(data) < 28:
         raise McfrError(f"{path}: truncated header")
     width, height, t0, t1 = struct.unpack_from("<IIQQ", data, 4)
+    if width == 0 or height == 0:
+        raise McfrError(f"{path}: invalid dimensions {width}x{height}")
+    if t1 <= t0:
+        raise McfrError(f"{path}: empty or inverted window [{t0}, {t1})")
     need = 4 + 24 + 4 * width * height * 4
     if len(data) != need:
         raise McfrError(f"{path}: expected {need} bytes, got {len(data)}")

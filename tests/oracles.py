@@ -164,3 +164,29 @@ def uee_forward_spikes_oracle(spikes, net, out_hw=None):
         pooled, _ = adaptive_avgpool_forward(feat[None], out_hw)
         feat = pooled[0]
     return feat
+
+
+# -- conv backward ---------------------------------------------------------
+# dw by the seed's einsum, dx by a loop over kernel offsets. The library
+# sums dw with one BLAS product per sample, so tests compare to a relative
+# tolerance, not bits.
+
+
+def conv2d_backward_oracle(dy, x, w, stride=1, pad=0):
+    """(dx, dw, db) of conv2d_forward(x, w, b, stride, pad) for output
+    gradient dy. dw is one einsum over samples and positions; dx scatters
+    each kernel offset's contribution into a padded buffer."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    cols, oh, ow = im2col_oracle(x, kh, kw, stride, pad)
+    dy2 = dy.reshape(n, o, oh * ow)
+    dw = np.einsum("nop,nkp->ok", dy2, cols).reshape(w.shape)
+    db = dy2.sum(axis=(0, 2))
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            ys = slice(i, i + stride * oh, stride)
+            xs = slice(j, j + stride * ow, stride)
+            dxp[:, :, ys, xs] += np.einsum("oc,nopq->ncpq", w[:, :, i, j], dy)
+    dx = dxp[:, :, pad : pad + h, pad : pad + wd]
+    return dx, dw, db

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import EventParseError, GeometryError
+from mcfr.errors import EventParseError, GeometryError, McfrError
 from mcfr.events import (
     Event,
     EventStream,
@@ -12,6 +12,9 @@ from mcfr.events import (
     save_events,
     slice_window,
 )
+
+from .oracles import random_stream
+from .strategies import corrupted
 
 
 def make_stream(rows, width=8, height=8):
@@ -121,6 +124,20 @@ class TestFileIO:
             load_events(path, geometry=(8, 8))
         assert exc.value.line == 2
 
+    def test_non_ascii_reports_line(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"1,1,1,1\n2,\xff,1,1\n")
+        with pytest.raises(EventParseError, match="non-ASCII") as exc:
+            load_events(path, geometry=(8, 8))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("line", [b"99999999999999999999,1,1,1", b"1,3000000000,1,1"])
+    def test_out_of_range_field_rejected(self, tmp_path, line):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(line + b"\n")
+        with pytest.raises(EventParseError, match="range"):
+            load_events(path)
+
     def test_round_trip_small(self, tmp_path):
         s = make_stream([(1, 2, 10, 1), (0, 0, 15, -1), (1, 2, 20, 1)])
         path = tmp_path / "ev.csv"
@@ -173,3 +190,16 @@ def test_round_trip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ev") / "ev.csv"
     save_events(s, path)
     assert load_events(path) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_events_fuzz(tmp_path_factory, data):
+    # truncations and byte flips of a valid event CSV: only McfrError leaves
+    path = tmp_path_factory.mktemp("ev") / "ev.csv"
+    save_events(random_stream(np.random.default_rng(0), 20, 16, 16, 10**6), path)
+    path.write_bytes(data.draw(corrupted(path.read_bytes(), hot=32)))
+    try:
+        load_events(path)
+    except McfrError:
+        pass

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcfr.errors import GeometryError
+from mcfr.network import MCFRConfig
 from mcfr.nn import (
     SGDConfig,
     SGDState,
@@ -22,7 +23,22 @@ from mcfr.nn import (
     softmax_ce_forward,
 )
 
-from .oracles import conv2d_oracle, im2col_oracle
+from .oracles import conv2d_backward_oracle, conv2d_oracle, im2col_oracle
+
+
+def _conv_block_shapes():
+    """(id, in_channels, out_channels, kernel) of every CFE and UER block
+    at reduced and tiny scale; both branches start from 3 channels."""
+    shapes = []
+    for scale, cfg in (("reduced", MCFRConfig.reduced()), ("tiny", MCFRConfig.tiny())):
+        for branch in ("cfe", "uer"):
+            in_c = 3
+            for i, block in enumerate(getattr(cfg, branch)):
+                shapes.append(pytest.param(
+                    in_c, block.out_channels, block.kernel, id=f"{scale}-{branch}.{i}"
+                ))
+                in_c = block.out_channels
+    return shapes
 
 
 class TestConvForward:
@@ -79,6 +95,27 @@ class TestConvForward:
             assert np.array_equal(cols, ref_cols)
             y, _ = conv2d_forward(x, w, b, stride, pad)
             assert np.array_equal(y, conv2d_oracle(x, w, b, stride, pad))
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("in_c,out_c,k", _conv_block_shapes())
+    def test_matches_einsum_oracle(self, in_c, out_c, k, stride, pad, n):
+        # error relative to the largest oracle entry, so the check does not
+        # weaken when the gradients themselves are small
+        rng = np.random.default_rng(1000 * k + 10 * stride + pad + n)
+        x = rng.normal(0, 1, size=(n, in_c, k + 4, k + 3))
+        w = rng.normal(0, 1, size=(out_c, in_c, k, k))
+        y, cache = conv2d_forward(x, w, np.zeros(out_c), stride, pad)
+        dy = rng.normal(0, 1, size=y.shape)
+        got = conv2d_backward(dy, cache)
+        want = conv2d_backward_oracle(dy, x, w, stride, pad)
+        for name, a, b in zip(("dx", "dw", "db"), got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(
+                a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=name
+            )
 
 
 class TestSimpleOps:

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcfr.errors import GeometryError
+from mcfr.errors import GeometryError, McfrError
 from mcfr.events import Event, EventStream, TimeWindow
 from mcfr.stacking import (
     assemble_input,
@@ -12,6 +16,7 @@ from mcfr.stacking import (
 )
 
 from .oracles import random_stream, stack_oracle
+from .strategies import corrupted
 
 
 def make_stream(rows, width=4, height=4):
@@ -149,3 +154,30 @@ class TestStackedDump:
         path.write_bytes(b"MCST\x01\x00")
         with pytest.raises(McfrError):
             load_stacked(path)
+
+    @pytest.mark.parametrize("width,height,t0,t1,message", [
+        (3, 2, 10, 5, r"inverted window \[10, 5\)"),
+        (3, 2, 7, 7, r"inverted window \[7, 7\)"),
+        (0, 2, 0, 10, "invalid dimensions 0x2"),
+        (3, 0, 0, 10, "invalid dimensions 3x0"),
+    ])
+    def test_named_fault(self, tmp_path, width, height, t0, t1, message):
+        path = tmp_path / "bad.mcst"
+        header = b"MCST" + struct.pack("<IIQQ", width, height, t0, t1)
+        path.write_bytes(header + bytes(16 * width * height))
+        with pytest.raises(McfrError, match=message):
+            load_stacked(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_stacked_fuzz(tmp_path_factory, data):
+    # truncations and byte flips of a valid dump: only McfrError leaves
+    path = tmp_path_factory.mktemp("mcst") / "f.mcst"
+    stream = random_stream(np.random.default_rng(1), 30, 3, 2, 1000)
+    save_stacked(stack_events(stream, TimeWindow(0, 1000)), path)
+    path.write_bytes(data.draw(corrupted(path.read_bytes(), hot=28)))
+    try:
+        load_stacked(path)
+    except McfrError:
+        pass
