@@ -7,8 +7,9 @@ so read-only concurrent use is safe.
 
 File format: optional comment lines starting with "#". The line
 "# t_us,x,y,p" is the column header; a comment of two integers
-"# <width>,<height>" is the sensor-geometry sidecar. Every data line is
-"t,x,y,p" with decimal integers, t non-decreasing.
+"# <width>,<height>" is the sensor-geometry sidecar (each side at most
+MAX_SENSOR_SIDE). Every data line is "t,x,y,p" with decimal integers, t
+non-decreasing.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import numpy as np
 
 from .errors import EventParseError, GeometryError
 
-# Polarity -> channel index used by every grid representation downstream.
-POLARITY_CHANNEL = {-1: 0, 1: 1}
+# Largest sensor side accepted, in pixels. Real event cameras stay well
+# below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
+# a (height, width) grid built from a stream to 4096^2 cells.
+MAX_SENSOR_SIDE = 4096
 
 
 class Event(NamedTuple):
@@ -71,8 +74,11 @@ class EventStream:
         p = np.ascontiguousarray(p, dtype=np.int8)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event field arrays must be 1-D and equal length")
-        if width <= 0 or height <= 0:
-            raise GeometryError(f"invalid sensor geometry {width}x{height}")
+        if not (0 < width <= MAX_SENSOR_SIDE and 0 < height <= MAX_SENSOR_SIDE):
+            raise GeometryError(
+                f"invalid sensor geometry {width}x{height} "
+                f"(each side must be 1..{MAX_SENSOR_SIDE})"
+            )
         if t.size:
             if np.any(np.diff(t) < 0):
                 i = int(np.argmax(np.diff(t) < 0))

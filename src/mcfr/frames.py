@@ -161,11 +161,14 @@ def load_sequence(directory) -> FrameSequence:
     ts_path = directory / "timestamps.txt"
     if not ts_path.exists():
         raise McfrError(f"missing {ts_path}")
-    timestamps = tuple(
-        int(line) for line in ts_path.read_text().split() if line.strip()
-    )
     frames = tuple(read_netpbm(p) for p in paths)
-    return FrameSequence(frames=frames, timestamps=timestamps)
+    try:
+        # ValueError covers a non-integer line, a count that does not match
+        # the frames and non-increasing values
+        timestamps = tuple(int(tok) for tok in ts_path.read_text().split())
+        return FrameSequence(frames=frames, timestamps=timestamps)
+    except ValueError as exc:
+        raise McfrError(f"{ts_path}: {exc}") from None
 
 
 def load_groundtruth(directory) -> np.ndarray:
@@ -174,11 +177,17 @@ def load_groundtruth(directory) -> np.ndarray:
     if not path.exists():
         raise McfrError(f"missing {path}")
     rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append([float(v) for v in line.split(",")])
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
+    text = path.read_text(encoding="ascii", errors="replace")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            x, y, w, h = (float(v) for v in line.split(","))
+        except ValueError:
+            raise McfrError(
+                f"{path}: line {lineno}: expected 4 numbers x,y,w,h, got {line!r}"
+            ) from None
+        rows.append((x, y, w, h))
+    if not rows:
         raise McfrError(f"{path}: expected x,y,w,h rows")
-    return arr
+    return np.asarray(rows, dtype=np.float64)

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from .snn import SRMParams, UeeNetwork, make_uee
+from .snn import SRMConvLayer, SRMParams, UeeNetwork, make_uee
 
 CHECKPOINT_MAGIC = b"MCFR"
 CHECKPOINT_VERSION = 1
@@ -305,6 +305,43 @@ class MCFRConfig:
         )
 
 
+def param_shapes(config: MCFRConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every checkpointed array, in initialize()'s draw
+    order: tau, CFE, UER, fusion, fc4, fc5, the fc6 heads, then the frozen
+    event-branch weights `uee.i.w` when that branch is enabled."""
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def layer(name, *w_shape):  # weights (out, in, ...) and one bias per output
+        shapes[f"{name}.w"] = w_shape
+        shapes[f"{name}.b"] = w_shape[:1]
+
+    layer("tau", 3, 7, 1, 1)
+    for prefix, blocks in (("cfe", config.cfe), ("uer", config.uer)):
+        in_c = 3
+        for i, block in enumerate(blocks):
+            layer(f"{prefix}.{i}", block.out_channels, in_c, block.kernel, block.kernel)
+            in_c = block.out_channels
+    layer("fusion", config.fusion_channels, config.fusion_in_channels, 1, 1)
+    d0, d1 = config.fc_dims
+    layer("fc4", d0, config.fc_in_dim)
+    layer("fc5", d1, d0)
+    for k in range(config.num_domains):
+        layer(f"fc6.{k}", 2, d1)
+    if config.ablation.use_uee:
+        spec = config.uee
+        for i, (cin, cout) in enumerate(zip(spec.channels, spec.channels[1:])):
+            shapes[f"uee.{i}.w"] = (cout, cin, spec.kernel, spec.kernel)
+    return shapes
+
+
+def _init_array(rng: np.random.Generator, name: str, shape) -> np.ndarray:
+    if name.endswith(".b"):
+        return np.zeros(shape)
+    if name.startswith("fc6."):
+        return rng.normal(0.0, 0.001, shape)
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+
+
 class MCFRModel:
     """Parameter store plus the frozen event-branch network."""
 
@@ -326,35 +363,11 @@ class MCFRModel:
         desk scale needs to make any progress.
         """
         rng = np.random.default_rng(seed)
-        p: dict[str, np.ndarray] = {}
-
-        def conv_init(name, out_c, in_c, k):
-            fan = in_c * k * k
-            p[f"{name}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan), (out_c, in_c, k, k))
-            p[f"{name}.b"] = np.zeros(out_c)
-
-        conv_init("tau", 3, 7, 1)
-        in_c = 3
-        for i, block in enumerate(config.cfe):
-            conv_init(f"cfe.{i}", block.out_channels, in_c, block.kernel)
-            in_c = block.out_channels
-        in_c = 3
-        for i, block in enumerate(config.uer):
-            conv_init(f"uer.{i}", block.out_channels, in_c, block.kernel)
-            in_c = block.out_channels
-        conv_init("fusion", config.fusion_channels, config.fusion_in_channels, 1)
-
-        d0, d1 = config.fc_dims
-        p["fc4.w"] = rng.normal(
-            0.0, np.sqrt(2.0 / config.fc_in_dim), (d0, config.fc_in_dim)
-        )
-        p["fc4.b"] = np.zeros(d0)
-        p["fc5.w"] = rng.normal(0.0, np.sqrt(2.0 / d0), (d1, d0))
-        p["fc5.b"] = np.zeros(d1)
-        for k in range(config.num_domains):
-            p[f"fc6.{k}.w"] = rng.normal(0.0, 0.001, (2, d1))
-            p[f"fc6.{k}.b"] = np.zeros(2)
-
+        p = {
+            name: _init_array(rng, name, shape)
+            for name, shape in param_shapes(config).items()
+            if not name.startswith("uee.")
+        }
         uee = None
         if config.ablation.use_uee:
             uee = make_uee(
@@ -372,13 +385,7 @@ class MCFRModel:
         return out
 
     def copy(self) -> "MCFRModel":
-        params = {k: v.copy() for k, v in self.params.items()}
-        uee = None
-        if self.uee is not None:
-            uee = UeeNetwork(
-                layers=[replace(l, weights=l.weights.copy()) for l in self.uee.layers]
-            )
-        return MCFRModel(self.config, params, uee)
+        return copy.deepcopy(self)
 
     def with_single_branch(self, seed: int = 0) -> "MCFRModel":
         """Tracking-time model: the k domain heads replaced by one fresh head."""
@@ -387,14 +394,10 @@ class MCFRModel:
         params = {
             k: v.copy() for k, v in self.params.items() if not k.startswith("fc6.")
         }
-        params["fc6.0.w"] = rng.normal(0.0, 0.001, (2, cfg.fc_dims[1]))
-        params["fc6.0.b"] = np.zeros(2)
-        uee = None
-        if self.uee is not None:
-            uee = UeeNetwork(
-                layers=[replace(l, weights=l.weights.copy()) for l in self.uee.layers]
-            )
-        return MCFRModel(cfg, params, uee)
+        shapes = param_shapes(cfg)
+        for name in ("fc6.0.w", "fc6.0.b"):
+            params[name] = _init_array(rng, name, shapes[name])
+        return MCFRModel(cfg, params, copy.deepcopy(self.uee))
 
 
 def _blocks_forward(x, blocks, params, prefix):
@@ -421,26 +424,6 @@ def _blocks_backward(dy, blocks, caches, params, prefix, grads):
         grads[f"{prefix}.{i}.w"] = dw
         grads[f"{prefix}.{i}.b"] = db
     return dy
-
-
-def channel_transform_tau(model: MCFRModel, x7: np.ndarray) -> np.ndarray:
-    """Learned 1x1 projection of the 7-channel input to 3 channels."""
-    if x7.shape[1] != 7:
-        raise GeometryError(f"expected 7 input channels, got {x7.shape[1]}")
-    y, _ = conv2d_forward(x7, model.params["tau.w"], model.params["tau.b"])
-    return y
-
-
-def cfe_forward(model: MCFRModel, x3: np.ndarray) -> np.ndarray:
-    y, _ = _blocks_forward(x3, model.config.cfe, model.params, "cfe")
-    return y
-
-
-def uer_forward(model: MCFRModel, rgb: np.ndarray) -> np.ndarray:
-    y, _ = _blocks_forward(rgb, model.config.uer, model.params, "uer")
-    if y.shape[2:] != model.config.feature_hw:
-        y, _ = adaptive_avgpool_forward(y, model.config.feature_hw)
-    return y
 
 
 def features_forward(model: MCFRModel, assembled: np.ndarray,
@@ -521,9 +504,18 @@ def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
                     "domain": domain}
 
 
-def backward_fc(model: MCFRModel, fc_cache: dict, dlogits: np.ndarray):
-    """Gradients of the classification head; returns (grads, dfeat)."""
+def forward(model: MCFRModel, assembled, uee_feat, domain: int):
+    feat, feat_cache = features_forward(model, assembled, uee_feat)
+    logits, fc_cache = classify_features(model, feat, domain)
+    return logits, {"feat": feat_cache, "fc": fc_cache}
+
+
+def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
+    """Full-path gradients for every trainable parameter reached from the
+    loss; the event branch receives none by construction."""
+    cfg = model.config
     p = model.params
+    fc_cache = cache["fc"]
     k = fc_cache["domain"]
     grads: dict[str, np.ndarray] = {}
     dh5, grads[f"fc6.{k}.w"], grads[f"fc6.{k}.b"] = fc_backward(
@@ -535,48 +527,6 @@ def backward_fc(model: MCFRModel, fc_cache: dict, dlogits: np.ndarray):
     dfeat, grads["fc4.w"], grads["fc4.b"] = fc_backward(
         dh4, fc_cache["c4"], p["fc4.w"]
     )
-    return grads, dfeat
-
-
-def forward(model: MCFRModel, assembled, uee_feat, domain: int):
-    feat, feat_cache = features_forward(model, assembled, uee_feat)
-    logits, fc_cache = classify_features(model, feat, domain)
-    return logits, {"feat": feat_cache, "fc": fc_cache}
-
-
-def fuse_and_classify(model: MCFRModel, f_uee, f_cfe, f_uer, domain: int):
-    """Score pre-computed branch outputs (concat -> fusion -> head).
-
-    Branch arguments may be None when the matching flag is disabled; enabled
-    ones are (N, C_b, h, w) and spatially aligned.
-    """
-    cfg = model.config
-    pieces = []
-    for flag, arr, name in (
-        (cfg.ablation.use_uee, f_uee, "uee"),
-        (cfg.ablation.use_cfe, f_cfe, "cfe"),
-        (cfg.ablation.use_uer, f_uer, "uer"),
-    ):
-        if flag:
-            if arr is None:
-                raise ConfigError(f"branch {name} enabled but its features missing")
-            pieces.append(arr)
-    concat = np.concatenate(pieces, axis=1)
-    if concat.shape[1] != cfg.fusion_in_channels:
-        raise GeometryError(
-            f"fusion expects {cfg.fusion_in_channels} channels, got {concat.shape[1]}"
-        )
-    fused, _ = conv2d_forward(concat, model.params["fusion.w"], model.params["fusion.b"])
-    fused, _ = relu_forward(fused)
-    logits, _ = classify_features(model, fused.reshape(concat.shape[0], -1), domain)
-    return logits
-
-
-def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
-    """Full-path gradients for every trainable parameter reached from the
-    loss; the event branch receives none by construction."""
-    cfg = model.config
-    grads, dfeat = backward_fc(model, cache["fc"], dlogits)
     feat_cache = cache["feat"]
     dfused = dfeat.reshape(feat_cache["fused_shape"])
     dfused = relu_backward(dfused, feat_cache["fusion_mask"])
@@ -591,7 +541,7 @@ def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
             continue  # frozen branch: gradient dropped
         if name == "cfe":
             dtau_out = _blocks_backward(
-                seg, cfg.cfe, feat_cache["cfe"], model.params, "cfe", grads
+                seg, cfg.cfe, feat_cache["cfe"], p, "cfe", grads
             )
             _, grads["tau.w"], grads["tau.b"] = conv2d_backward(
                 dtau_out, feat_cache["tau"]
@@ -599,9 +549,7 @@ def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
         elif name == "uer":
             if feat_cache["uer_adapt"] is not None:
                 seg = adaptive_avgpool_backward(seg, feat_cache["uer_adapt"])
-            _blocks_backward(
-                seg, cfg.uer, feat_cache["uer"], model.params, "uer", grads
-            )
+            _blocks_backward(seg, cfg.uer, feat_cache["uer"], p, "uer", grads)
     return grads
 
 
@@ -749,9 +697,7 @@ def load_checkpoint(path) -> MCFRModel:
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from None
 
-    # rebuild an initialized skeleton to know the expected names and shapes
-    skeleton = MCFRModel.initialize(config, seed=0)
-    expected = skeleton.all_arrays()
+    expected = param_shapes(config)
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))
     if missing or extra:
@@ -759,15 +705,17 @@ def load_checkpoint(path) -> MCFRModel:
             f"{path}: parameter set mismatch (missing {missing}, extra {extra})"
         )
     for name, arr in arrays.items():
-        if arr.shape != expected[name].shape:
+        if arr.shape != expected[name]:
             raise CheckpointError(
-                f"{path}: shape mismatch for {name!r}: "
-                f"{arr.shape} != {expected[name].shape}"
+                f"{path}: shape mismatch for {name!r}: {arr.shape} != {expected[name]}"
             )
-    params = {k: arrays[k] for k in skeleton.params}
+    params = {k: arrays[k] for k in expected if not k.startswith("uee.")}
     uee = None
     if config.ablation.use_uee:
-        uee = skeleton.uee
-        for i, layer in enumerate(uee.layers):
-            layer.weights = arrays[f"uee.{i}.w"]
+        spec = config.uee
+        srm = spec.srm_params()
+        uee = UeeNetwork(layers=[
+            SRMConvLayer(arrays[f"uee.{i}.w"], spec.stride, spec.padding, srm)
+            for i in range(len(spec.channels) - 1)
+        ])
     return MCFRModel(config, params, uee)

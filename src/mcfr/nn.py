@@ -336,7 +336,3 @@ def finite_diff_check(
         checked=checked,
         kinks=kinks,
     )
-
-
-def gaussian_init(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape)

@@ -183,31 +183,15 @@ class UeeNetwork:
             if a.weights.shape[0] != b.weights.shape[1]:
                 raise GeometryError("channel mismatch between SRM layers")
 
-    @property
-    def out_channels(self) -> int:
-        return self.layers[-1].weights.shape[0]
-
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {f"uee.{i}.w": l.weights for i, l in enumerate(self.layers)}
-
-
-def uee_forward(
-    stream: EventStream,
-    window: TimeWindow,
-    net: UeeNetwork,
-    geometry: tuple[int, int] | None = None,
-    out_hw: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Events -> spikes -> SRM layers -> drive -> time mean -> (C, h, w)."""
-    params = net.layers[0].params
-    x = encode_events_to_spikes(stream, window, params, geometry)
-    return uee_forward_spikes(x, net, out_hw)
 
 
 def uee_forward_spikes(
     spikes: np.ndarray, net: UeeNetwork, out_hw: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """Same as uee_forward but starting from an encoded spike tensor."""
+    """Spikes from encode_events_to_spikes -> SRM layers -> drive -> time
+    mean -> (C, h, w), adaptively pooled to out_hw when given."""
     x = spikes
     for layer in net.layers[:-1]:
         x = srm_layer_forward(x, layer)

@@ -5,7 +5,7 @@ and polarity inside W, and the timestamp grid holds the most recent event
 time per pixel and polarity (0 where no event fell). Everything here is a
 pure function of immutable inputs.
 
-Binary dump format (CLI `stack` output): magic "MCST", u32 width, u32
+Binary dump format: magic "MCST", u32 width, u32
 height, u64 t0, u64 t1 (little-endian), then four planes of 32-bit IEEE-754
 little-endian floats in the order c_pos, c_neg, t_pos, t_neg.
 """

@@ -1,7 +1,8 @@
 """Independent brute-force references the fast paths are checked against.
 
 Everything here is deliberately naive: plain Python loops over events,
-boxes, and frames. Keep it that way.
+boxes, frames and layer cells, or the seed's own code kept as it was
+written. Keep it that way.
 """
 
 import numpy as np
@@ -190,3 +191,197 @@ def conv2d_backward_oracle(dy, x, w, stride=1, pad=0):
             dxp[:, :, ys, xs] += np.einsum("oc,nopq->ncpq", w[:, :, i, j], dy)
     dx = dxp[:, :, pad : pad + h, pad : pad + wd]
     return dx, dw, db
+
+
+# -- model initialisation and the full backward pass ------------------------
+
+
+def initialize_oracle(config, seed=0):
+    """(params, uee) as the seed's MCFRModel.initialize drew them, one
+    named draw after another."""
+    from mcfr.snn import make_uee
+
+    rng = np.random.default_rng(seed)
+    p = {}
+
+    def conv_init(name, out_c, in_c, k):
+        fan = in_c * k * k
+        p[f"{name}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan), (out_c, in_c, k, k))
+        p[f"{name}.b"] = np.zeros(out_c)
+
+    conv_init("tau", 3, 7, 1)
+    in_c = 3
+    for i, block in enumerate(config.cfe):
+        conv_init(f"cfe.{i}", block.out_channels, in_c, block.kernel)
+        in_c = block.out_channels
+    in_c = 3
+    for i, block in enumerate(config.uer):
+        conv_init(f"uer.{i}", block.out_channels, in_c, block.kernel)
+        in_c = block.out_channels
+    conv_init("fusion", config.fusion_channels, config.fusion_in_channels, 1)
+
+    d0, d1 = config.fc_dims
+    p["fc4.w"] = rng.normal(0.0, np.sqrt(2.0 / config.fc_in_dim), (d0, config.fc_in_dim))
+    p["fc4.b"] = np.zeros(d0)
+    p["fc5.w"] = rng.normal(0.0, np.sqrt(2.0 / d0), (d1, d0))
+    p["fc5.b"] = np.zeros(d1)
+    for k in range(config.num_domains):
+        p[f"fc6.{k}.w"] = rng.normal(0.0, 0.001, (2, d1))
+        p[f"fc6.{k}.b"] = np.zeros(2)
+
+    uee = None
+    if config.ablation.use_uee:
+        uee = make_uee(
+            config.uee.channels, config.uee.kernel, config.uee.stride,
+            config.uee.padding, config.uee.srm_params(),
+            seed=int(rng.integers(0, 2**31)),
+        )
+    return p, uee
+
+
+def maxpool_oracle(x, k, stride):
+    """(y, argmax cell of each window) by a loop over output cells; ties go
+    to the first cell in row-major order."""
+    n, c, h, w = x.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    y = np.empty((n, c, oh, ow))
+    where = np.empty((n, c, oh, ow, 2), dtype=np.int64)
+    for a in range(n):
+        for ch in range(c):
+            for i in range(oh):
+                for j in range(ow):
+                    win = x[a, ch, i * stride : i * stride + k, j * stride : j * stride + k]
+                    r, s = divmod(int(np.argmax(win)), k)
+                    y[a, ch, i, j] = win[r, s]
+                    where[a, ch, i, j] = (i * stride + r, j * stride + s)
+    return y, where
+
+
+def maxpool_backward_oracle(dy, x_shape, where):
+    dx = np.zeros(x_shape)
+    for idx in np.ndindex(*dy.shape):
+        r, s = where[idx]
+        dx[idx[0], idx[1], r, s] += dy[idx]
+    return dx
+
+
+def _bands(size, m):
+    return [(i * size // m, (i + 1) * size // m) for i in range(m)]
+
+
+def adaptive_avgpool_oracle(x, out_hw):
+    n, c, h, w = x.shape
+    y = np.empty((n, c) + tuple(out_hw))
+    for i, (h0, h1) in enumerate(_bands(h, out_hw[0])):
+        for j, (w0, w1) in enumerate(_bands(w, out_hw[1])):
+            for a in range(n):
+                for ch in range(c):
+                    y[a, ch, i, j] = x[a, ch, h0:h1, w0:w1].mean()
+    return y
+
+
+def adaptive_avgpool_backward_oracle(dy, x_shape):
+    dx = np.zeros(x_shape)
+    h, w = x_shape[2:]
+    for i, (h0, h1) in enumerate(_bands(h, dy.shape[2])):
+        for j, (w0, w1) in enumerate(_bands(w, dy.shape[3])):
+            area = (h1 - h0) * (w1 - w0)
+            for a in range(dy.shape[0]):
+                for ch in range(dy.shape[1]):
+                    dx[a, ch, h0:h1, w0:w1] += dy[a, ch, i, j] / area
+    return dx
+
+
+def fc_oracle(x, w, b):
+    return np.array([w @ row + b for row in x])
+
+
+def fc_backward_oracle(dy, x, w):
+    """(dx, dw, db), summing one outer product per sample."""
+    dw = np.zeros(w.shape)
+    for d, row in zip(dy, x):
+        dw += np.outer(d, row)
+    dx = np.array([w.T @ d for d in dy])
+    return dx, dw, dy.sum(axis=0)
+
+
+def network_backward_oracle(model, assembled, uee_feat, domain, dlogits):
+    """Every gradient network.backward returns for forward(model, assembled,
+    uee_feat, domain) and the logit gradient dlogits, from the oracle layers
+    above: the forward pass is redone and every cache kept by hand."""
+    cfg, p = model.config, model.params
+    grads = {}
+
+    def relu(z):
+        return z * (z > 0)
+
+    def blocks_forward(x, blocks, prefix):
+        trail = []
+        for i, spec in enumerate(blocks):
+            pre = conv2d_oracle(x, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"],
+                                spec.stride, spec.padding)
+            y, where = relu(pre), None
+            if spec.pool:
+                y, where = maxpool_oracle(y, spec.pool, spec.pool_stride)
+            trail.append((x, pre, where))
+            x = y
+        return x, trail
+
+    def blocks_backward(dy, blocks, prefix, trail):
+        for i in reversed(range(len(blocks))):
+            x, pre, where = trail[i]
+            spec = blocks[i]
+            if where is not None:
+                dy = maxpool_backward_oracle(dy, pre.shape, where)
+            dy = dy * (pre > 0)
+            dy, grads[f"{prefix}.{i}.w"], grads[f"{prefix}.{i}.b"] = (
+                conv2d_backward_oracle(dy, x, p[f"{prefix}.{i}.w"],
+                                       spec.stride, spec.padding)
+            )
+        return dy
+
+    n = assembled.shape[0]
+    hw = cfg.feature_hw
+    pieces = []
+    if cfg.ablation.use_uee:
+        pieces.append(uee_feat)
+    if cfg.ablation.use_cfe:
+        tau_out = conv2d_oracle(assembled, p["tau.w"], p["tau.b"])
+        cfe_out, cfe_trail = blocks_forward(tau_out, cfg.cfe, "cfe")
+        pieces.append(cfe_out)
+    if cfg.ablation.use_uer:
+        uer_raw, uer_trail = blocks_forward(assembled[:, :3], cfg.uer, "uer")
+        uer_out = uer_raw
+        if uer_raw.shape[2:] != hw:
+            uer_out = adaptive_avgpool_oracle(uer_raw, hw)
+        pieces.append(uer_out)
+    concat = np.concatenate(pieces, axis=1)
+    fused_pre = conv2d_oracle(concat, p["fusion.w"], p["fusion.b"])
+    feat = relu(fused_pre).reshape(n, -1)
+    h4_pre = fc_oracle(feat, p["fc4.w"], p["fc4.b"])
+    h5_pre = fc_oracle(relu(h4_pre), p["fc5.w"], p["fc5.b"])
+
+    k = f"fc6.{domain}"
+    dh5, grads[f"{k}.w"], grads[f"{k}.b"] = fc_backward_oracle(
+        dlogits, relu(h5_pre), p[f"{k}.w"])
+    dh4, grads["fc5.w"], grads["fc5.b"] = fc_backward_oracle(
+        dh5 * (h5_pre > 0), relu(h4_pre), p["fc5.w"])
+    dfeat, grads["fc4.w"], grads["fc4.b"] = fc_backward_oracle(
+        dh4 * (h4_pre > 0), feat, p["fc4.w"])
+    dfused = dfeat.reshape(fused_pre.shape) * (fused_pre > 0)
+    dconcat, grads["fusion.w"], grads["fusion.b"] = conv2d_backward_oracle(
+        dfused, concat, p["fusion.w"])
+    offset = uee_feat.shape[1] if cfg.ablation.use_uee else 0
+    if cfg.ablation.use_cfe:
+        width = cfe_out.shape[1]
+        dtau = blocks_backward(dconcat[:, offset : offset + width], cfg.cfe, "cfe",
+                               cfe_trail)
+        offset += width
+        _, grads["tau.w"], grads["tau.b"] = conv2d_backward_oracle(
+            dtau, assembled, p["tau.w"])
+    if cfg.ablation.use_uer:
+        dseg = dconcat[:, offset:]
+        if uer_raw.shape[2:] != hw:
+            dseg = adaptive_avgpool_backward_oracle(dseg, uer_raw.shape)
+        blocks_backward(dseg, cfg.uer, "uer", uer_trail)
+    return grads

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mcfr.errors import EventParseError, GeometryError, McfrError
 from mcfr.events import (
+    MAX_SENSOR_SIDE,
     Event,
     EventStream,
     TimeWindow,
@@ -53,6 +54,13 @@ class TestEventStream:
     def test_rejects_out_of_bounds(self):
         with pytest.raises(GeometryError):
             make_stream([(8, 0, 10, 1)], width=8, height=8)
+
+    def test_geometry_cap(self):
+        side = MAX_SENSOR_SIDE
+        assert EventStream.empty(side, side).width == side
+        for width, height in [(side + 1, 1), (1, side + 1)]:
+            with pytest.raises(GeometryError, match="each side must be"):
+                EventStream.empty(width, height)
 
     def test_immutable(self):
         s = make_stream([(1, 1, 10, 1)])
@@ -136,6 +144,16 @@ class TestFileIO:
         path = tmp_path / "ev.csv"
         path.write_bytes(line + b"\n")
         with pytest.raises(EventParseError, match="range"):
+            load_events(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        b"# 200000,200000",  # a 40-gigapixel grid once stacked
+        b"# 99999999999999999999999,5",  # past int64
+    ])
+    def test_oversized_geometry_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(sidecar + b"\n1,0,0,1\n")
+        with pytest.raises(GeometryError, match="invalid sensor geometry"):
             load_events(path)
 
     def test_round_trip_small(self, tmp_path):

@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,19 +15,17 @@ from mcfr.network import (
     MCFRConfig,
     MCFRModel,
     TrainBatch,
+    _blocks_forward,
     ablation_flags,
     backward,
-    channel_transform_tau,
-    cfe_forward,
     classify_features,
     default_sgd_config,
     features_forward,
     forward,
-    fuse_and_classify,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     train_step,
-    uer_forward,
 )
 from mcfr.nn import (
     SGDConfig,
@@ -36,6 +36,7 @@ from mcfr.nn import (
 )
 from mcfr.snn import UeeNetwork
 
+from .oracles import im2col_oracle, initialize_oracle, network_backward_oracle
 from .strategies import corrupted
 
 
@@ -50,37 +51,94 @@ def rand_inputs(config, n, seed=0):
     return assembled, uee_feat
 
 
+# The shared branch alone, so features_forward needs no event features.
+CFE_ONLY = ablation_flags("er")
+# The RGB branch alone; no named variant isolates it.
+UER_ONLY = AblationFlags(use_uee=False, use_cfe=False)
+
+
+def tau_output_cols(model, x7):
+    """The im2col columns the first CFE conv took from tau's output."""
+    _, cache = features_forward(model, x7, None)
+    return cache["cfe"][0][0][1]
+
+
+def expect_cols(model, tau_out):
+    spec = model.config.cfe[0]
+    return im2col_oracle(tau_out, spec.kernel, spec.kernel, spec.stride, spec.padding)[0]
+
+
+def uer_output(model, rgb):
+    """The UER output, adapted to feature_hw, as the fusion conv took it."""
+    n, _, s, _ = rgb.shape
+    assembled = np.concatenate([rgb, np.zeros((n, 4, s, s))], axis=1)
+    _, cache = features_forward(model, assembled, None)
+    x_shape, cols = cache["fusion"][:2]
+    return cols.reshape(x_shape)  # 1x1 conv: the columns are the input
+
+
+class TestInitialize:
+    @pytest.mark.parametrize("variant", ["full", "or", "no-cfe"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("scale", ["tiny", "reduced", "paper"])
+    def test_matches_seed_oracle(self, scale, seed, variant):
+        base = {"tiny": MCFRConfig.tiny(), "reduced": MCFRConfig.reduced(),
+                "paper": MCFRConfig()}[scale]
+        config = base.with_ablation(variant)
+        model = MCFRModel.initialize(config, seed=seed)
+        params, uee = initialize_oracle(config, seed=seed)
+        assert list(model.params) == list(params)
+        for name, arr in params.items():
+            assert np.array_equal(model.params[name], arr), name
+        assert (model.uee is None) == (uee is None)
+        if uee is not None:
+            assert len(model.uee.layers) == len(uee.layers)
+            for got, want in zip(model.uee.layers, uee.layers):
+                assert np.array_equal(got.weights, want.weights)
+                assert (got.stride, got.padding, got.params) == (
+                    want.stride, want.padding, want.params)
+
+    @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+    def test_param_shapes_is_the_checkpoint_set(self, variant):
+        config = MCFRConfig.tiny(num_domains=3).with_ablation(variant)
+        arrays = MCFRModel.initialize(config, seed=0).all_arrays()
+        shapes = param_shapes(config)
+        assert list(shapes) == list(arrays)
+        assert all(arrays[k].shape == shape for k, shape in shapes.items())
+
+
 class TestTau:
     def test_identity_projection(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=0)
         w = np.zeros_like(model.params["tau.w"])
         for c in range(3):
             w[c, c, 0, 0] = 1.0
         model.params["tau.w"] = w
         model.params["tau.b"][:] = 0.0
         x = np.random.default_rng(1).random((2, 7, 19, 19))
-        y = channel_transform_tau(model, x)
-        assert np.allclose(y, x[:, :3])
+        y = tau_output_cols(model, x)
+        assert np.allclose(y, expect_cols(model, x[:, :3]))
 
     def test_zero_weights(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=0)
         model.params["tau.w"] = np.zeros_like(model.params["tau.w"])
         model.params["tau.b"][:] = 0.0
         x = np.random.default_rng(2).random((1, 7, 19, 19))
-        assert not channel_transform_tau(model, x).any()
+        assert not tau_output_cols(model, x).any()
 
     def test_matches_pointwise_matrix_oracle(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=3)
+        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=3)
         rng = np.random.default_rng(4)
         x = rng.random((2, 7, 19, 19))
-        y = channel_transform_tau(model, x)
+        y = tau_output_cols(model, x)
         w = model.params["tau.w"][:, :, 0, 0]  # (3, 7)
         b = model.params["tau.b"]
+        expect = np.empty((2, 3, 19, 19))
         for n in (0, 1):
-            for i in (0, 7, 18):
-                for j in (3, 11):
-                    expect = w @ x[n, :, i, j] + b
-                    assert np.allclose(y[n, :, i, j], expect, atol=1e-12)
+            for i in range(19):
+                for j in range(19):
+                    expect[n, :, i, j] = w @ x[n, :, i, j] + b
+        assert np.allclose(y, expect_cols(model, expect), atol=1e-12)
 
 
 class TestBranches:
@@ -89,39 +147,41 @@ class TestBranches:
         assert config.feature_hw == (3, 3)
         model = MCFRModel.initialize(config, seed=0)
         x = np.random.default_rng(0).random((1, 3, 107, 107))
-        assert cfe_forward(model, x).shape == (1, 512, 3, 3)
+        y, _ = _blocks_forward(x, config.cfe, model.params, "cfe")
+        assert y.shape == (1, 512, 3, 3)
 
     def test_cfe_zero_input_zero_output(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
-        y = cfe_forward(model, np.zeros((1, 3, 19, 19)))
+        config = MCFRConfig.tiny()
+        model = MCFRModel.initialize(config, seed=0)
+        y, _ = _blocks_forward(np.zeros((1, 3, 19, 19)), config.cfe, model.params, "cfe")
         assert not y.any()  # biases start at zero
 
     def test_cfe_positive_homogeneity(self):
         # zero biases make the conv+relu+pool stack positively homogeneous
-        model = MCFRModel.initialize(MCFRConfig.reduced(), seed=1)
+        config = MCFRConfig.reduced()
+        model = MCFRModel.initialize(config, seed=1)
         x = np.random.default_rng(1).standard_normal((1, 3, 75, 75))
-        y1 = cfe_forward(model, x)
-        y2 = cfe_forward(model, 2.0 * x)
+        y1, _ = _blocks_forward(x, config.cfe, model.params, "cfe")
+        y2, _ = _blocks_forward(2.0 * x, config.cfe, model.params, "cfe")
         assert np.allclose(y2, 2.0 * y1, atol=1e-9)
 
     def test_uer_matches_cfe_spatial(self):
-        for config in (MCFRConfig(), MCFRConfig.reduced(), MCFRConfig.tiny()):
+        for base in (MCFRConfig(), MCFRConfig.reduced(), MCFRConfig.tiny()):
+            config = replace(base, ablation=UER_ONLY)
             model = MCFRModel.initialize(config, seed=0)
             s = config.input_crop
             rgb = np.random.default_rng(0).random((1, 3, s, s))
-            out = uer_forward(model, rgb)
+            out = uer_output(model, rgb)
             assert out.shape[2:] == config.feature_hw
             assert out.shape[1] == config.uer[-1].out_channels
 
     def test_uer_zero_input(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
-        assert not uer_forward(model, np.zeros((1, 3, 19, 19))).any()
+        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=UER_ONLY), seed=0)
+        assert not uer_output(model, np.zeros((1, 3, 19, 19))).any()
 
     def test_uer_pointwise_layers_commute_with_permutation(self):
         # blocks 2 and 3 are 1x1: shuffling spatial positions of their input
         # shuffles their output identically (tiny config has no pools)
-        from mcfr.network import _blocks_forward
-
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=5)
         rng = np.random.default_rng(6)
@@ -171,17 +231,6 @@ class TestFusion:
         assembled, uee_feat = rand_inputs(config, 1)
         with pytest.raises(ConfigError):
             forward(model, assembled, uee_feat, domain=2)
-
-    def test_fuse_and_classify_branch_features(self):
-        config = MCFRConfig.tiny()
-        model = MCFRModel.initialize(config, seed=0)
-        rng = np.random.default_rng(7)
-        h, w = config.feature_hw
-        f_uee = rng.random((2, config.uee.channels[-1], h, w))
-        f_cfe = rng.random((2, config.cfe[-1].out_channels, h, w))
-        f_uer = rng.random((2, config.uer[-1].out_channels, h, w))
-        logits = fuse_and_classify(model, f_uee, f_cfe, f_uer, domain=0)
-        assert logits.shape == (2, 2)
 
     def test_fusion_width_tracks_enabled_branches(self):
         base = MCFRConfig.tiny()
@@ -328,6 +377,29 @@ class TestEndToEndGradients:
         )
         assert report.passed, f"{report.per_param} kinks={report.kinks}"
 
+    @pytest.mark.parametrize("scale,seed", [
+        ("tiny", 0), ("tiny", 1), ("tiny", 2),
+        ("reduced", 0),  # the only scale with max pools
+    ])
+    def test_matches_layer_oracles(self, scale, seed):
+        # Each gradient against the oracle layers, scaled to its own largest
+        # entry: finite differences divide by max(|a|, |n|, 1), which hides
+        # an error in a gradient much smaller than 1.
+        config = MCFRConfig.tiny() if scale == "tiny" else MCFRConfig.reduced()
+        model = MCFRModel.initialize(config, seed=seed)
+        assembled, uee_feat = rand_inputs(config, 2, seed=200 + seed)
+        logits, cache = forward(model, assembled, uee_feat, 0)
+        _, ce_cache = softmax_ce_forward(logits, np.array([1, 0]))
+        dlogits = softmax_ce_backward(ce_cache)
+        grads = backward(model, cache, dlogits)
+        expect = network_backward_oracle(model, assembled, uee_feat, 0, dlogits)
+        assert grads.keys() == expect.keys()
+        for name, want in expect.items():
+            np.testing.assert_allclose(
+                grads[name], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+                err_msg=name,
+            )
+
 
 class TestCheckpoint:
     def test_round_trip_forward_agreement(self, tmp_path):
@@ -399,6 +471,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="impossible shape"):
             load_checkpoint(path)
 
+    def test_swapped_config_rejected_before_allocation(self, tmp_path):
+        # a tiny checkpoint whose config claims paper-scale arrays: the
+        # loader must refuse it without building arrays of the claimed size
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        cfg_len = int.from_bytes(data[6:10], "little")
+        blob = MCFRConfig(num_domains=2).canonical_json().encode()
+        path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
+                         + data[10 + cfg_len :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="parameter set mismatch"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_domain_count_preserved(self, tmp_path):
         config = MCFRConfig.tiny(num_domains=3)
         model = MCFRModel.initialize(config, seed=0)
@@ -420,6 +511,23 @@ class TestCheckpoint:
         assert single.config.num_domains == 1
         assert "fc6.1.w" not in single.params
         assert np.array_equal(single.params["fc4.w"], model.params["fc4.w"])
+        shapes = param_shapes(single.config)
+        assert set(single.params) == {k for k in shapes if not k.startswith("uee.")}
+        for a, b in zip(single.uee.layers, model.uee.layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert a.weights is not b.weights
+
+    def test_copy_is_independent(self):
+        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        twin = model.copy()
+        assert twin.config == model.config
+        for name, arr in model.all_arrays().items():
+            assert np.array_equal(twin.all_arrays()[name], arr)
+        twin.params["fc4.w"] += 1.0
+        twin.uee.layers[0].weights += 1.0
+        assert not np.array_equal(twin.params["fc4.w"], model.params["fc4.w"])
+        assert not np.array_equal(twin.uee.layers[0].weights,
+                                  model.uee.layers[0].weights)
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mcfr.errors import ConfigError, McfrError
 from mcfr.frames import (
     FrameSequence,
+    load_groundtruth,
     load_sequence,
     read_netpbm,
     save_sequence,
@@ -224,6 +225,38 @@ class TestSequenceDiskRoundTrip:
         for a, b in zip(back.frames, seq.frames):
             assert np.array_equal(a, b)
 
+
+
+class TestSequenceLoaderFaults:
+    @pytest.fixture
+    def seq_dir(self, tmp_path):
+        seq, boxes = gen_synthetic_sequence(SceneSpec(frame_count=3), seed=0)
+        save_sequence(seq, tmp_path / "seq", boxes)
+        return tmp_path / "seq"
+
+    @pytest.mark.parametrize("text,message", [
+        ("0\n1000\n", "count mismatch"),
+        ("0\n1000\n1000\n", "strictly increasing"),
+        ("0\n1000\n2e3\n", "invalid literal"),
+    ])
+    def test_timestamps_named_fault(self, seq_dir, text, message):
+        (seq_dir / "timestamps.txt").write_text(text)
+        with pytest.raises(McfrError, match=f"timestamps.txt: .*{message}"):
+            load_sequence(seq_dir)
+
+    @pytest.mark.parametrize("text,line", [
+        ("1,2,3,4\n1,2,x,4\n", 2),  # non-numeric field
+        ("1,2,3,4\n1,2,3\n1,2,3,4\n", 2),  # ragged row
+        ("1,2,3,4,5\n", 1),
+    ])
+    def test_groundtruth_named_fault(self, seq_dir, text, line):
+        (seq_dir / "groundtruth.txt").write_text(text)
+        with pytest.raises(McfrError, match=f"groundtruth.txt: line {line}:"):
+            load_groundtruth(seq_dir)
+
+    def test_groundtruth_round_trip(self, seq_dir):
+        _, boxes = gen_synthetic_sequence(SceneSpec(frame_count=3), seed=0)
+        assert np.allclose(load_groundtruth(seq_dir), boxes, atol=1e-6)
 
 
 class TestNetpbmHeaderFaults:

@@ -16,7 +16,6 @@ from mcfr.snn import (
     membrane_drive,
     srm_layer_forward,
     synaptic_filter,
-    uee_forward,
     uee_forward_spikes,
 )
 
@@ -222,9 +221,10 @@ class TestReadout:
 
     def test_uee_empty_stream_zero(self):
         net = make_uee((2, 4, 8), 3, 2, 1, params(), seed=0)
-        out = uee_forward(
-            EventStream.empty(16, 16), TimeWindow(0, 100), net, out_hw=(2, 2)
+        spikes = encode_events_to_spikes(
+            EventStream.empty(16, 16), TimeWindow(0, 100), net.layers[0].params
         )
+        out = uee_forward_spikes(spikes, net, out_hw=(2, 2))
         assert out.shape == (8, 2, 2)
         assert not out.any()
 
@@ -237,8 +237,8 @@ class TestReadout:
         net = UeeNetwork(layers=[layer])
         s = EventStream.from_events([Event(0, 0, 10, 1)], 1, 1)
         w = TimeWindow(0, 80)
-        out = uee_forward(s, w, net)
         spikes = encode_events_to_spikes(s, w, layer.params)
+        out = uee_forward_spikes(spikes, net)
         expected = mean_over_time(synaptic_filter(spikes, layer.params))[1]
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(float(expected[0, 0]), abs=1e-12)
@@ -252,7 +252,8 @@ class TestReadout:
             t, rng.integers(0, 33, n), rng.integers(0, 33, n),
             rng.choice([-1, 1], n), 33, 33,
         )
-        out = uee_forward(s, TimeWindow(0, 1000), net, out_hw=(3, 3))
+        spikes = encode_events_to_spikes(s, TimeWindow(0, 1000), net.layers[0].params)
+        out = uee_forward_spikes(spikes, net, out_hw=(3, 3))
         assert out.shape == (16, 3, 3)
         assert np.all(np.isfinite(out))
 
