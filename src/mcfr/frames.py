@@ -1,7 +1,8 @@
 """Frame sequences and their on-disk layout.
 
 A sequence directory holds zero-padded numbered images (binary PGM "P5"
-for grayscale, PPM "P6" for color, maxval 255), a "timestamps.txt" with
+for grayscale, PPM "P6" for color, maxval 255, each side at most
+events.MAX_SENSOR_SIDE), a "timestamps.txt" with
 one integer microsecond value per line, and optionally "groundtruth.txt"
 with one "x,y,w,h" line per frame (floats, 0-based top-left origin).
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryError, McfrError
+from .events import MAX_SENSOR_SIDE
 
 # BT.601 luma weights; the conversion used everywhere color -> gray.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -122,6 +124,10 @@ def read_netpbm(path) -> np.ndarray:
         raise McfrError(f"{path}: non-numeric header field in {tokens}") from None
     if w <= 0 or h <= 0:
         raise McfrError(f"{path}: invalid dimensions {w}x{h}")
+    if w > MAX_SENSOR_SIDE or h > MAX_SENSOR_SIDE:
+        raise GeometryError(
+            f"{path}: {w}x{h} frame exceeds the {MAX_SENSOR_SIDE}-pixel side limit"
+        )
     if maxval != 255:
         raise McfrError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3

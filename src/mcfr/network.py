@@ -33,6 +33,7 @@ from .errors import (
     McfrError,
     NonFiniteError,
 )
+from .events import MAX_SENSOR_SIDE
 from .nn import (
     SGDConfig,
     SGDState,
@@ -193,6 +194,11 @@ class MCFRConfig:
 
     def __post_init__(self):
         _require_ints(self, ("input_crop", "fusion_channels", "num_domains"), 1)
+        if self.input_crop > MAX_SENSOR_SIDE:
+            raise ConfigError(
+                f"input_crop {self.input_crop} exceeds the sensor side limit "
+                f"{MAX_SENSOR_SIDE}"
+            )
         if len(self.fc_dims) != 2:
             raise ConfigError("fc_dims holds the fc4 and fc5 widths")
         for d in self.fc_dims:

@@ -107,34 +107,79 @@ def relu_backward(dy, mask):
 
 
 def maxpool_forward(x, k: int = 3, stride: int = 2):
-    """(N,C,H,W) max pooling, no padding. Returns (y, cache)."""
+    """(N,C,H,W) max pooling, no padding. Returns (y, cache).
+
+    The max is separable: k strided column views fold into an
+    (N,C,rows,OW) buffer, then k row views of that buffer fold into y.
+    Each fold passes the running max as np.maximum's second operand,
+    which numpy returns when the two compare equal, so between -0.0 and
+    0.0 the earlier cell's zero is kept, as np.argmax's would be.
+
+    The cache routes each window's gradient to its first cell, in
+    row-major order, that equals the max: np.argmax's tie rule, so a
+    window of ReLU zeros routes to its top-left cell. That cell's offset
+    in the window is stored as uint8 (k <= 16), one byte per output. x
+    itself is not cached: keeping it for a lazy argmax would hold one
+    float64 array per pooled layer until backward and raise a training
+    step's peak memory. A window holding NaN has no cell equal to its max
+    and routes to its first NaN, as np.argmax does.
+    """
     n, c, h, w = x.shape
     oh = conv_out_dim(h, k, stride, 0)
     ow = conv_out_dim(w, k, stride, 0)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride][:, :, :oh, :ow]
-    flat = windows.reshape(n, c, oh, ow, k * k)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    rspan = (oh - 1) * stride + 1
+    cspan = (ow - 1) * stride + 1
+    rows = x[:, :, : rspan + k - 1]
+    buf = rows[..., :cspan:stride].copy()
+    for j in range(1, k):
+        np.maximum(rows[..., j : j + cspan : stride], buf, out=buf)
+    y = buf[:, :, :rspan:stride].copy()
+    for i in range(1, k):
+        np.maximum(buf[:, :, i : i + rspan : stride], y, out=y)
+    del buf
+
+    cells = [
+        x[:, :, i : i + rspan : stride, j : j + cspan : stride]
+        for i in range(k)
+        for j in range(k)
+    ]
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(k * k - 1))
+    todo = np.ones(y.shape, dtype=bool)
+    hit = np.empty(y.shape, dtype=bool)
+    for match in (np.equal, lambda cell, _y, out: np.isnan(cell, out=out)):
+        for o, cell in enumerate(cells):
+            match(cell, y, out=hit)
+            hit &= todo
+            todo ^= hit
+            if o:
+                arg += hit.view(np.uint8) * arg.dtype.type(o)
+        if not todo.any():  # left over only where a window holds NaN
+            break
     cache = (x.shape, arg, k, stride, oh, ow)
     return y, cache
 
 
 def maxpool_backward(dy, cache):
-    """Routes each output gradient to its argmax input cell (scatter-add,
-    overlapping windows accumulate)."""
+    """Routes each output gradient to its cached input cell; overlapping
+    windows accumulate.
+
+    The flat target index of every output is built in place from the
+    cached offsets. np.bincount then adds the weights into a zeroed
+    buffer one by one in the order of the index array, exactly as
+    np.add.at(dx, idx, dy) does, so each input cell sums the same terms
+    in the same order and dx matches the scatter-add to the bit.
+    """
     x_shape, arg, k, stride, oh, ow = cache
     n, c, h, w = x_shape
-    dx = np.zeros(x_shape)
-    ohs = np.arange(oh)[:, None] * stride
-    ows = np.arange(ow)[None, :] * stride
-    iy = ohs[None, None] + arg // k  # (N,C,OH,OW) absolute row
-    ix = ows[None, None] + arg % k
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    flat_idx = ((ni * c + ci) * h + iy) * w + ix
-    np.add.at(dx.reshape(-1), flat_idx.reshape(-1), dy.reshape(-1))
-    return dx
+    row, col = np.divmod(arg.astype(np.intp), k)
+    col += np.arange(0, ow * stride, stride)
+    row += np.arange(0, oh * stride, stride)[:, None]
+    row += np.arange(0, n * c * h, h).reshape(n, c, 1, 1)
+    row *= w
+    row += col
+    del col
+    dx = np.bincount(row.reshape(-1), weights=dy.reshape(-1), minlength=n * c * h * w)
+    return dx.reshape(x_shape)
 
 
 def adaptive_avgpool_forward(x, out_hw: tuple[int, int]):

@@ -24,6 +24,7 @@ so the result is the same to the bit. The spikes leave as an
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,17 +112,34 @@ class SRMConvLayer:
             raise ConfigError("non-finite SRM weights")
 
 
+@functools.lru_cache(maxsize=16)
+def _synaptic_matrix(t: int, params: SRMParams) -> np.ndarray:
+    """Read-only lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*dt).
+
+    It depends only on (T, params), and SRMParams is frozen, so every
+    call with the same pair shares one array.
+    """
+    taps = kernel_v(np.arange(t) * params.dt, params.tau_s)
+    lag = np.arange(t)[:, None] - np.arange(t)
+    mat = np.where(lag >= 0, taps[lag], 0.0)
+    mat.setflags(write=False)
+    return mat
+
+
+@functools.lru_cache(maxsize=16)
+def _refractory_tail(t: int, params: SRMParams) -> np.ndarray:
+    """Read-only (T-1, 1) column of u(k*dt) for k = 1..T-1."""
+    tail = kernel_u(np.arange(1, t) * params.dt, params.tau_r, params.phi)
+    tail.setflags(write=False)
+    return tail[:, None]
+
+
 def synaptic_filter(x: np.ndarray, params: SRMParams) -> np.ndarray:
     """Causal temporal convolution of spike trains with kernel v.
 
     x has time on the last axis: out[..., k] = sum_j v((k-j)*dt) * x[..., j].
     """
-    t = x.shape[-1]
-    taps = kernel_v(np.arange(t) * params.dt, params.tau_s)
-    # lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*dt)
-    lag = np.arange(t)[:, None] - np.arange(t)
-    mat = np.where(lag >= 0, taps[lag], 0.0)
-    return x @ mat.T
+    return x @ _synaptic_matrix(x.shape[-1], params).T
 
 
 def _weighted_psp(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
@@ -146,7 +164,7 @@ def srm_layer_forward(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
     psp = _weighted_psp(x, layer).transpose(3, 0, 1, 2)
     t = psp.shape[0]
     drive = psp.reshape(t, -1)
-    u_tail = kernel_u(np.arange(1, t) * p.dt, p.tau_r, p.phi)[:, None]
+    u_tail = _refractory_tail(t, p)
     fired = np.empty(drive.shape, dtype=bool)
     refr = np.zeros_like(drive)
     for k in range(t):

@@ -6,8 +6,9 @@ time per pixel and polarity (0 where no event fell). Everything here is a
 pure function of immutable inputs.
 
 Binary dump format: magic "MCST", u32 width, u32
-height, u64 t0, u64 t1 (little-endian), then four planes of 32-bit IEEE-754
-little-endian floats in the order c_pos, c_neg, t_pos, t_neg.
+height (each at most events.MAX_SENSOR_SIDE), u64 t0, u64 t1
+(little-endian), then four planes of 32-bit IEEE-754 little-endian floats
+in the order c_pos, c_neg, t_pos, t_neg.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, McfrError
-from .events import EventStream, TimeWindow, slice_window
+from .events import MAX_SENSOR_SIDE, EventStream, TimeWindow, slice_window
 
 # channel order of assembled network inputs; a format contract
 INPUT_CHANNELS = ("r", "g", "b", "c_pos", "c_neg", "t_pos", "t_neg")
@@ -124,6 +125,10 @@ def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     width, height, t0, t1 = struct.unpack_from("<IIQQ", data, 4)
     if width == 0 or height == 0:
         raise McfrError(f"{path}: invalid dimensions {width}x{height}")
+    if width > MAX_SENSOR_SIDE or height > MAX_SENSOR_SIDE:
+        raise GeometryError(
+            f"{path}: {width}x{height} grid exceeds the {MAX_SENSOR_SIDE}-pixel side limit"
+        )
     if t1 <= t0:
         raise McfrError(f"{path}: empty or inverted window [{t0}, {t1})")
     need = 4 + 24 + 4 * width * height * 4

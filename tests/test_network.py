@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr.errors import CheckpointError, ConfigError, McfrError, NonFiniteError
+from mcfr.events import MAX_SENSOR_SIDE
 from mcfr.network import (
     ABLATION_VARIANTS,
     AblationFlags,
@@ -490,6 +491,20 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_oversized_crop_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        cfg_len = int.from_bytes(data[6:10], "little")
+        blob = MCFRConfig.tiny().canonical_json().replace(
+            '"input_crop":19', f'"input_crop":{MAX_SENSOR_SIDE + 1}'
+        ).encode()
+        assert blob != MCFRConfig.tiny().canonical_json().encode()
+        path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
+                         + data[10 + cfg_len :])
+        with pytest.raises(CheckpointError, match="sensor side limit"):
+            load_checkpoint(path)
+
     def test_domain_count_preserved(self, tmp_path):
         config = MCFRConfig.tiny(num_domains=3)
         model = MCFRModel.initialize(config, seed=0)
@@ -563,3 +578,7 @@ class TestConfigValidation:
             MCFRConfig(fc_dims=(512,))
         with pytest.raises(ConfigError):
             MCFRConfig(input_crop=107.0)
+
+    def test_input_crop_capped_at_sensor_side(self):
+        with pytest.raises(ConfigError, match="sensor side limit"):
+            MCFRConfig(input_crop=MAX_SENSOR_SIDE + 1)

@@ -11,6 +11,7 @@ from mcfr.nn import (
     adaptive_avgpool_forward,
     conv2d_backward,
     conv2d_forward,
+    conv_out_dim,
     fc_backward,
     fc_forward,
     finite_diff_check,
@@ -23,7 +24,13 @@ from mcfr.nn import (
     softmax_ce_forward,
 )
 
-from .oracles import conv2d_backward_oracle, conv2d_oracle, im2col_oracle
+from .oracles import (
+    conv2d_backward_oracle,
+    conv2d_oracle,
+    im2col_oracle,
+    maxpool_backward_oracle,
+    maxpool_oracle,
+)
 
 
 def _conv_block_shapes():
@@ -39,6 +46,59 @@ def _conv_block_shapes():
                 ))
                 in_c = block.out_channels
     return shapes
+
+
+def _pool_input_shapes():
+    """(id, C, H, W, k, stride) of every pooled block's max-pool input at
+    reduced and paper scale, one sample each."""
+    shapes = []
+    for scale, cfg in (("reduced", MCFRConfig.reduced()), ("paper", MCFRConfig())):
+        for branch in ("cfe", "uer"):
+            size = cfg.input_crop
+            for i, block in enumerate(getattr(cfg, branch)):
+                size = conv_out_dim(size, block.kernel, block.stride, block.padding)
+                if block.pool:
+                    shapes.append(pytest.param(
+                        block.out_channels, size, size, block.pool, block.pool_stride,
+                        id=f"{scale}-{branch}.{i}",
+                    ))
+                    size = conv_out_dim(size, block.pool, block.pool_stride, 0)
+    return shapes
+
+
+def _pool_input(kind, shape, rng):
+    """Gaussian, ReLU-clipped (its zeros as the ReLU leaves them, -0.0 for a
+    negative input), integer-rounded (many ties) or all-zero input."""
+    x = rng.normal(0, 1, size=shape)
+    if kind == "relu":
+        return x * (x > 0)
+    if kind == "ties":
+        return np.round(1.5 * x)
+    if kind == "zero":
+        return np.zeros(shape)
+    return x
+
+
+def _assert_pool_matches_oracle(x, k, stride, rng):
+    """y, the routed input cell and dx equal the loop oracle to the bit."""
+    y, cache = maxpool_forward(x, k, stride)
+    y_ref, where = maxpool_oracle(x, k, stride)
+    assert y.shape == y_ref.shape
+    # bit patterns, so a -0.0 where the oracle has 0.0 also fails
+    assert np.array_equal(y.view(np.uint64), y_ref.view(np.uint64))
+    _, arg, _, _, oh, ow = cache
+    assert arg.dtype == np.uint8
+    assert not any(
+        isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in cache
+    )
+    rows = np.arange(oh)[:, None] * stride + arg // k
+    cols = np.arange(ow) * stride + arg % k
+    assert np.array_equal(rows, where[..., 0])
+    assert np.array_equal(cols, where[..., 1])
+    dy = rng.normal(0, 1, size=y.shape)
+    dx = maxpool_backward(dy, cache)
+    dx_ref = maxpool_backward_oracle(dy, x.shape, where)
+    assert np.array_equal(dx.view(np.uint64), dx_ref.view(np.uint64))
 
 
 class TestConvForward:
@@ -156,6 +216,43 @@ class TestSimpleOps:
         assert y[0, 0, 0, 0] == pytest.approx(np.mean([0, 1, 4, 5]))
         y1, _ = adaptive_avgpool_forward(x, (1, 1))
         assert y1[0, 0, 0, 0] == pytest.approx(x.mean())
+
+
+class TestMaxPoolExact:
+    @pytest.mark.parametrize("kind", ["gauss", "relu", "ties", "zero"])
+    @pytest.mark.parametrize(
+        "k,stride", [(1, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3)]
+    )
+    def test_matches_oracle(self, k, stride, kind):
+        rng = np.random.default_rng(10 * k + stride)
+        for shape in ((2, 3, 9, 11), (1, 2, k, k + 2 * stride), (3, 1, 13, 8)):
+            _assert_pool_matches_oracle(_pool_input(kind, shape, rng), k, stride, rng)
+
+    @pytest.mark.parametrize("c,h,w,k,stride", _pool_input_shapes())
+    def test_block_shapes_match_oracle(self, c, h, w, k, stride):
+        rng = np.random.default_rng(h * w + c)
+        x = _pool_input("relu", (1, c, h, w), rng)
+        _assert_pool_matches_oracle(x, k, stride, rng)
+
+    def test_signed_zero_tie_keeps_first_cell(self):
+        x = np.zeros((1, 1, 3, 3))
+        x[0, 0, 0, 0] = -0.0
+        y, _ = maxpool_forward(x, 3, 1)
+        assert np.signbit(y[0, 0, 0, 0])
+        x = np.full((1, 1, 3, 3), -0.0)
+        x[0, 0, 0, 0] = 0.0
+        y, _ = maxpool_forward(x, 3, 1)
+        assert not np.signbit(y[0, 0, 0, 0])
+
+    def test_nan_routes_to_first_nan(self):
+        x = np.arange(18, dtype=np.float64).reshape(1, 2, 3, 3)
+        x[0, 0, 1, 2] = np.nan
+        x[0, 0, 2, 0] = np.nan
+        y, cache = maxpool_forward(x, 3, 1)
+        assert np.isnan(y[0, 0, 0, 0]) and y[0, 1, 0, 0] == 17.0
+        assert cache[1].ravel().tolist() == [5, 8]
+        dx = maxpool_backward(np.ones((1, 2, 1, 1)), cache)
+        assert dx[0, 0, 1, 2] == 1.0 and dx.sum() == 2.0
 
 
 class TestSGD:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import ConfigError, McfrError
+from mcfr.errors import ConfigError, GeometryError, McfrError
+from mcfr.events import MAX_SENSOR_SIDE
 from mcfr.frames import (
     FrameSequence,
     load_groundtruth,
@@ -274,6 +275,19 @@ class TestNetpbmHeaderFaults:
         path.write_bytes(data)
         with pytest.raises(McfrError, match=message):
             read_netpbm(path)
+
+    @pytest.mark.parametrize("w,h", [(MAX_SENSOR_SIDE + 1, 1), (1, MAX_SENSOR_SIDE + 1)])
+    def test_side_over_cap(self, tmp_path, w, h):
+        # a complete raster, so only the cap can refuse it
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5 %d %d 255\n" % (w, h) + bytes(w * h))
+        with pytest.raises(GeometryError, match="side limit"):
+            read_netpbm(path)
+
+    def test_side_at_cap_loads(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5 %d 1 255\n" % MAX_SENSOR_SIDE + bytes(MAX_SENSOR_SIDE))
+        assert read_netpbm(path).shape == (1, MAX_SENSOR_SIDE)
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (4, 2, 3)])

@@ -8,6 +8,8 @@ from mcfr.snn import (
     SRMConvLayer,
     SRMParams,
     UeeNetwork,
+    _refractory_tail,
+    _synaptic_matrix,
     encode_events_to_spikes,
     kernel_u,
     kernel_v,
@@ -347,3 +349,30 @@ class TestSeedOracle:
                 uee_forward_spikes(crop, net, hw),
                 uee_forward_spikes_oracle(crop, net, hw),
             )
+
+
+class TestCachedConstants:
+    """The Toeplitz filter and the refractory tail are built once per
+    (T, SRMParams) and shared read-only."""
+
+    def test_shared_and_read_only(self):
+        p = params(t_bins=8)
+        for build in (_synaptic_matrix, _refractory_tail):
+            arr = build(8, p)
+            assert build(8, params(t_bins=8)) is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_filter_follows_tau_s(self):
+        x = (np.random.default_rng(0).random((2, 4, 4, 8)) < 0.4).astype(np.float64)
+        slow = params(tau_s=8.0)
+        assert not np.array_equal(_synaptic_matrix(8, params()), _synaptic_matrix(8, slow))
+        assert not np.array_equal(synaptic_filter(x, params()), synaptic_filter(x, slow))
+        assert np.array_equal(synaptic_filter(x, slow), synaptic_filter_oracle(x, slow))
+
+    def test_tail_follows_tau_r_and_t(self):
+        assert not np.array_equal(_refractory_tail(8, params()),
+                                  _refractory_tail(8, params(tau_r=2.0)))
+        assert _refractory_tail(32, params()).shape == (31, 1)
+        assert _refractory_tail(1, params()).shape == (0, 1)

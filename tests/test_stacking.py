@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr.errors import GeometryError, McfrError
-from mcfr.events import Event, EventStream, TimeWindow
+from mcfr.events import MAX_SENSOR_SIDE, Event, EventStream, TimeWindow
 from mcfr.stacking import (
     assemble_input,
     load_stacked,
@@ -166,6 +166,15 @@ class TestStackedDump:
         header = b"MCST" + struct.pack("<IIQQ", width, height, t0, t1)
         path.write_bytes(header + bytes(16 * width * height))
         with pytest.raises(McfrError, match=message):
+            load_stacked(path)
+
+    @pytest.mark.parametrize("width,height", [(MAX_SENSOR_SIDE + 1, 1), (1, MAX_SENSOR_SIDE + 1)])
+    def test_side_over_cap(self, tmp_path, width, height):
+        # a complete dump, so only the cap can refuse it
+        path = tmp_path / "big.mcst"
+        header = b"MCST" + struct.pack("<IIQQ", width, height, 0, 10)
+        path.write_bytes(header + bytes(16 * width * height))
+        with pytest.raises(GeometryError, match="side limit"):
             load_stacked(path)
 
 
