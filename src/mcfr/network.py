@@ -1,7 +1,8 @@
 """The fusion network: shared branch, RGB branch, event branch, and the
 multi-domain classification head.
 
-Data flow for one sample: the 7-channel assembled input passes through a
+Data flow for one sample: the 7-channel assembled input, with the channel
+groups the ablation variant leaves out set to zero, passes through a
 learned 1x1 channel transform (tau, 7->3) into the shared convolutional
 branch (CFE); the raw RGB planes feed the RGB-only branch (UER); the event
 branch (UEE, spiking, frozen) contributes a feature map computed outside
@@ -9,6 +10,17 @@ the differentiable path. Enabled branch outputs are concatenated in the
 fixed order UEE|CFE|UER, selected by a 1x1 fusion convolution, flattened,
 and classified by fc4 -> fc5 -> fc6^k, where each domain k owns its own
 two-logit fc6 branch.
+
+The differentiable path is written down once, as ordered layer tables
+(`_layers`): "uee" is empty, since the event features enter the fusion as
+constants, "cfe" is tau then the CFE blocks, "uer" the UER blocks plus
+an adaptive average pool when their output misses feature_hw, "fusion"
+the fusion conv, its ReLU and the flattening, and "head" fc4, ReLU, fc5,
+ReLU, fc6^domain. A layer is a plain tuple: ("conv", name, w_shape,
+stride, pad), ("fc", name, w_shape), ("relu",), ("pool", k, stride),
+("adapt", hw) or ("flat",). `param_shapes` reads the parameter shapes off
+the tables, `_run` walks a table forward and `_run_backward` walks it in
+reverse, so forward, backward and the checkpoint set cannot disagree.
 
 Training uses softmax cross-entropy and SGD with per-group learning rates;
 a train step for domain k touches shared parameters and fc6^k only, and
@@ -173,6 +185,15 @@ def ablation_flags(variant: str) -> AblationFlags:
     return AblationFlags(**ABLATION_VARIANTS[variant])
 
 
+def _blocks_hw(size: int, blocks: tuple[ConvBlockSpec, ...]) -> tuple[int, int]:
+    """Spatial size after a stack of conv blocks on a size x size input."""
+    for block in blocks:
+        size = conv_out_dim(size, block.kernel, block.stride, block.padding)
+        if block.pool:
+            size = conv_out_dim(size, block.pool, block.pool_stride, 0)
+    return (size, size)
+
+
 @dataclass(frozen=True)
 class MCFRConfig:
     input_crop: int = 107
@@ -207,17 +228,14 @@ class MCFRConfig:
             raise ConfigError("shared and RGB branches take exactly 3 conv blocks")
         if self.uee.channels[0] != 2:
             raise ConfigError("event branch input is the 2 polarity channels")
-        self.feature_hw  # validate geometry early
+        # validate geometry early; the UER size decides its layer table
+        _blocks_hw(self.input_crop, self.uer)
+        self.feature_hw
 
     @property
     def feature_hw(self) -> tuple[int, int]:
         """Spatial size of every branch output (the shared branch defines it)."""
-        size = self.input_crop
-        for block in self.cfe:
-            size = conv_out_dim(size, block.kernel, block.stride, block.padding)
-            if block.pool:
-                size = conv_out_dim(size, block.pool, block.pool_stride, 0)
-        return (size, size)
+        return _blocks_hw(self.input_crop, self.cfe)
 
     @property
     def branch_channels(self) -> dict[str, int]:
@@ -311,28 +329,54 @@ class MCFRConfig:
         )
 
 
+def _conv_blocks(prefix: str, blocks, in_c: int) -> list[tuple]:
+    """Conv, ReLU and (when the block pools) max-pool layers of a stack."""
+    layers = []
+    for i, block in enumerate(blocks):
+        w_shape = (block.out_channels, in_c, block.kernel, block.kernel)
+        layers += [("conv", f"{prefix}.{i}", w_shape, block.stride, block.padding),
+                   ("relu",)]
+        if block.pool:
+            layers.append(("pool", block.pool, block.pool_stride))
+        in_c = block.out_channels
+    return layers
+
+
+def _layers(config: MCFRConfig, domain: int = 0) -> dict[str, list[tuple]]:
+    """The layer tables of the differentiable path (see the module
+    docstring), for every branch whether enabled or not."""
+    uer = _conv_blocks("uer", config.uer, 3)
+    if _blocks_hw(config.input_crop, config.uer) != config.feature_hw:
+        uer.append(("adapt", config.feature_hw))
+    d0, d1 = config.fc_dims
+    return {
+        "uee": [],  # frozen: the event features enter the fusion as constants
+        "cfe": [("conv", "tau", (3, 7, 1, 1), 1, 0),
+                *_conv_blocks("cfe", config.cfe, 3)],
+        "uer": uer,
+        "fusion": [("conv", "fusion",
+                    (config.fusion_channels, config.fusion_in_channels, 1, 1), 1, 0),
+                   ("relu",), ("flat",)],
+        "head": [("fc", "fc4", (d0, config.fc_in_dim)), ("relu",),
+                 ("fc", "fc5", (d1, d0)), ("relu",),
+                 ("fc", f"fc6.{domain}", (2, d1))],
+    }
+
+
 def param_shapes(config: MCFRConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every checkpointed array, in initialize()'s draw
     order: tau, CFE, UER, fusion, fc4, fc5, the fc6 heads, then the frozen
     event-branch weights `uee.i.w` when that branch is enabled."""
     shapes: dict[str, tuple[int, ...]] = {}
-
-    def layer(name, *w_shape):  # weights (out, in, ...) and one bias per output
-        shapes[f"{name}.w"] = w_shape
-        shapes[f"{name}.b"] = w_shape[:1]
-
-    layer("tau", 3, 7, 1, 1)
-    for prefix, blocks in (("cfe", config.cfe), ("uer", config.uer)):
-        in_c = 3
-        for i, block in enumerate(blocks):
-            layer(f"{prefix}.{i}", block.out_channels, in_c, block.kernel, block.kernel)
-            in_c = block.out_channels
-    layer("fusion", config.fusion_channels, config.fusion_in_channels, 1, 1)
-    d0, d1 = config.fc_dims
-    layer("fc4", d0, config.fc_in_dim)
-    layer("fc5", d1, d0)
+    # re-assigning a name keeps its first position, so walking the tables
+    # once per domain only appends that domain's fc6 after the last one
     for k in range(config.num_domains):
-        layer(f"fc6.{k}", 2, d1)
+        for table in _layers(config, k).values():
+            for layer in table:
+                if layer[0] in ("conv", "fc"):
+                    _, name, w_shape = layer[:3]
+                    shapes[f"{name}.w"] = w_shape
+                    shapes[f"{name}.b"] = w_shape[:1]
     if config.ablation.use_uee:
         spec = config.uee
         for i, (cin, cout) in enumerate(zip(spec.channels, spec.channels[1:])):
@@ -406,30 +450,61 @@ class MCFRModel:
         return MCFRModel(cfg, params, copy.deepcopy(self.uee))
 
 
-def _blocks_forward(x, blocks, params, prefix):
+def _run(x, layers, params):
+    """Walk a layer table forward; returns (y, one cache per layer)."""
     caches = []
-    for i, spec in enumerate(blocks):
-        w = params[f"{prefix}.{i}.w"]
-        b = params[f"{prefix}.{i}.b"]
-        x, conv_cache = conv2d_forward(x, w, b, spec.stride, spec.padding)
-        x, mask = relu_forward(x)
-        pool_cache = None
-        if spec.pool:
-            x, pool_cache = maxpool_forward(x, spec.pool, spec.pool_stride)
-        caches.append((conv_cache, mask, pool_cache))
+    for layer in layers:
+        kind = layer[0]
+        if kind == "conv":
+            _, name, _, stride, pad = layer
+            x, cache = conv2d_forward(x, params[f"{name}.w"], params[f"{name}.b"],
+                                      stride, pad)
+        elif kind == "fc":
+            name = layer[1]
+            x, cache = fc_forward(x, params[f"{name}.w"], params[f"{name}.b"])
+        elif kind == "relu":
+            x, cache = relu_forward(x)
+        elif kind == "pool":
+            x, cache = maxpool_forward(x, layer[1], layer[2])
+        elif kind == "adapt":
+            x, cache = adaptive_avgpool_forward(x, layer[1])
+        else:  # flat
+            x, cache = x.reshape(x.shape[0], -1), x.shape
+        caches.append(cache)
     return x, caches
 
 
-def _blocks_backward(dy, blocks, caches, params, prefix, grads):
-    for i in reversed(range(len(blocks))):
-        conv_cache, mask, pool_cache = caches[i]
-        if pool_cache is not None:
-            dy = maxpool_backward(dy, pool_cache)
-        dy = relu_backward(dy, mask)
-        dy, dw, db = conv2d_backward(dy, conv_cache)
-        grads[f"{prefix}.{i}.w"] = dw
-        grads[f"{prefix}.{i}.b"] = db
+def _run_backward(dy, layers, caches, params, grads):
+    """Walk a layer table in reverse from the output gradient dy, storing
+    each conv and fc parameter gradient in grads; returns the input
+    gradient."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        kind = layer[0]
+        if kind == "conv":
+            name = layer[1]
+            dy, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(dy, cache)
+        elif kind == "fc":
+            name = layer[1]
+            dy, grads[f"{name}.w"], grads[f"{name}.b"] = fc_backward(
+                dy, cache, params[f"{name}.w"]
+            )
+        elif kind == "relu":
+            dy = relu_backward(dy, cache)
+        elif kind == "pool":
+            dy = maxpool_backward(dy, cache)
+        elif kind == "adapt":
+            dy = adaptive_avgpool_backward(dy, cache)
+        else:  # flat
+            dy = dy.reshape(cache)
     return dy
+
+
+def _drop_input_groups(assembled: np.ndarray, flags: AblationFlags) -> np.ndarray:
+    """The assembled input with the channel groups the variant leaves out
+    set to zero; the input itself when it keeps them all."""
+    keep = np.repeat([flags.input_use_rgb, flags.input_use_counts,
+                      flags.input_use_timestamps], (3, 2, 2))
+    return assembled if keep.all() else np.where(keep[:, None, None], assembled, 0.0)
 
 
 def features_forward(model: MCFRModel, assembled: np.ndarray,
@@ -445,53 +520,23 @@ def features_forward(model: MCFRModel, assembled: np.ndarray,
         raise GeometryError(
             f"assembled input must be (N,7,{cfg.input_crop},{cfg.input_crop})"
         )
-    h, w = cfg.feature_hw
-    pieces = []
-    seg_channels = []
-    cache: dict = {"n": n}
-
     if cfg.ablation.use_uee:
         if uee_feat is None:
             raise ConfigError("event branch enabled but uee_feat missing")
-        if uee_feat.shape != (n, cfg.uee.channels[-1], h, w):
-            raise GeometryError(
-                f"uee_feat shape {uee_feat.shape} != "
-                f"{(n, cfg.uee.channels[-1], h, w)}"
-            )
-        pieces.append(uee_feat)
-        seg_channels.append(("uee", uee_feat.shape[1]))
-
-    if cfg.ablation.use_cfe:
-        tau_out, tau_cache = conv2d_forward(
-            assembled, model.params["tau.w"], model.params["tau.b"]
-        )
-        cfe_out, cfe_caches = _blocks_forward(tau_out, cfg.cfe, model.params, "cfe")
-        cache["tau"] = tau_cache
-        cache["cfe"] = cfe_caches
-        pieces.append(cfe_out)
-        seg_channels.append(("cfe", cfe_out.shape[1]))
-
-    if cfg.ablation.use_uer:
-        rgb = assembled[:, :3]
-        uer_out, uer_caches = _blocks_forward(rgb, cfg.uer, model.params, "uer")
-        adapt_cache = None
-        if uer_out.shape[2:] != (h, w):
-            uer_out, adapt_cache = adaptive_avgpool_forward(uer_out, (h, w))
-        cache["uer"] = uer_caches
-        cache["uer_adapt"] = adapt_cache
-        pieces.append(uer_out)
-        seg_channels.append(("uer", uer_out.shape[1]))
-
-    concat = np.concatenate(pieces, axis=1)
-    cache["segments"] = seg_channels
-    fused, fusion_cache = conv2d_forward(
-        concat, model.params["fusion.w"], model.params["fusion.b"]
+        expect = (n, cfg.uee.channels[-1], *cfg.feature_hw)
+        if uee_feat.shape != expect:
+            raise GeometryError(f"uee_feat shape {uee_feat.shape} != {expect}")
+    assembled = _drop_input_groups(assembled, cfg.ablation)
+    inputs = {"uee": uee_feat, "cfe": assembled, "uer": assembled[:, :3]}
+    tables = _layers(cfg)
+    pieces, cache = [], {}
+    for name in cfg.branch_channels:  # the fixed order UEE|CFE|UER
+        out, cache[name] = _run(inputs[name], tables[name], model.params)
+        pieces.append(out)
+    feat, cache["fusion"] = _run(
+        np.concatenate(pieces, axis=1), tables["fusion"], model.params
     )
-    fused, fusion_mask = relu_forward(fused)
-    cache["fusion"] = fusion_cache
-    cache["fusion_mask"] = fusion_mask
-    cache["fused_shape"] = fused.shape
-    return fused.reshape(n, -1), cache
+    return feat, cache
 
 
 def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
@@ -500,14 +545,8 @@ def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
         raise ConfigError(
             f"domain {domain} outside 0..{model.config.num_domains - 1}"
         )
-    p = model.params
-    h4, c4 = fc_forward(feat, p["fc4.w"], p["fc4.b"])
-    h4, m4 = relu_forward(h4)
-    h5, c5 = fc_forward(h4, p["fc5.w"], p["fc5.b"])
-    h5, m5 = relu_forward(h5)
-    logits, c6 = fc_forward(h5, p[f"fc6.{domain}.w"], p[f"fc6.{domain}.b"])
-    return logits, {"c4": c4, "m4": m4, "c5": c5, "m5": m5, "c6": c6,
-                    "domain": domain}
+    logits, caches = _run(feat, _layers(model.config, domain)["head"], model.params)
+    return logits, {"domain": domain, "head": caches}
 
 
 def forward(model: MCFRModel, assembled, uee_feat, domain: int):
@@ -519,43 +558,17 @@ def forward(model: MCFRModel, assembled, uee_feat, domain: int):
 def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
     """Full-path gradients for every trainable parameter reached from the
     loss; the event branch receives none by construction."""
-    cfg = model.config
-    p = model.params
-    fc_cache = cache["fc"]
-    k = fc_cache["domain"]
+    fc_cache, feat_cache = cache["fc"], cache["feat"]
+    tables = _layers(model.config, fc_cache["domain"])
     grads: dict[str, np.ndarray] = {}
-    dh5, grads[f"fc6.{k}.w"], grads[f"fc6.{k}.b"] = fc_backward(
-        dlogits, fc_cache["c6"], p[f"fc6.{k}.w"]
-    )
-    dh5 = relu_backward(dh5, fc_cache["m5"])
-    dh4, grads["fc5.w"], grads["fc5.b"] = fc_backward(dh5, fc_cache["c5"], p["fc5.w"])
-    dh4 = relu_backward(dh4, fc_cache["m4"])
-    dfeat, grads["fc4.w"], grads["fc4.b"] = fc_backward(
-        dh4, fc_cache["c4"], p["fc4.w"]
-    )
-    feat_cache = cache["feat"]
-    dfused = dfeat.reshape(feat_cache["fused_shape"])
-    dfused = relu_backward(dfused, feat_cache["fusion_mask"])
-    dconcat, grads["fusion.w"], grads["fusion.b"] = conv2d_backward(
-        dfused, feat_cache["fusion"]
-    )
+    dfeat = _run_backward(dlogits, tables["head"], fc_cache["head"], model.params, grads)
+    dconcat = _run_backward(dfeat, tables["fusion"], feat_cache["fusion"],
+                            model.params, grads)
     offset = 0
-    for name, width in feat_cache["segments"]:
-        seg = dconcat[:, offset : offset + width]
+    for name, width in model.config.branch_channels.items():
+        _run_backward(dconcat[:, offset : offset + width], tables[name],
+                      feat_cache[name], model.params, grads)
         offset += width
-        if name == "uee":
-            continue  # frozen branch: gradient dropped
-        if name == "cfe":
-            dtau_out = _blocks_backward(
-                seg, cfg.cfe, feat_cache["cfe"], p, "cfe", grads
-            )
-            _, grads["tau.w"], grads["tau.b"] = conv2d_backward(
-                dtau_out, feat_cache["tau"]
-            )
-        elif name == "uer":
-            if feat_cache["uer_adapt"] is not None:
-                seg = adaptive_avgpool_backward(seg, feat_cache["uer_adapt"])
-            _blocks_backward(seg, cfg.uer, feat_cache["uer"], p, "uer", grads)
     return grads
 
 

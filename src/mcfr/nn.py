@@ -275,7 +275,6 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     cfg: SGDConfig,
     state: SGDState,
-    lr_scale: float = 1.0,
 ) -> None:
     """In-place update p <- p - lr*(momentum-buffered grad + wd*p)."""
     for name, g in grads.items():
@@ -286,7 +285,7 @@ def sgd_step(
             state.velocity[name] = v
         v *= cfg.momentum
         v += g
-        p -= cfg.rate_for(name) * lr_scale * (v + cfg.weight_decay * p)
+        p -= cfg.rate_for(name) * (v + cfg.weight_decay * p)
 
 
 @dataclass

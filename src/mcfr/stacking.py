@@ -75,32 +75,17 @@ def normalize_stacked(f: StackedFrame) -> np.ndarray:
     return out
 
 
-def assemble_input(
-    rgb: np.ndarray,
-    f: StackedFrame,
-    *,
-    use_rgb: bool = True,
-    use_counts: bool = True,
-    use_timestamps: bool = True,
-) -> np.ndarray:
+def assemble_input(rgb: np.ndarray, f: StackedFrame) -> np.ndarray:
     """(7, H, W) network input in the fixed INPUT_CHANNELS order.
 
-    rgb must be (3, H, W) scaled to [0, 1]. Ablation flags zero the omitted
-    channel groups while preserving geometry.
+    rgb must be (3, H, W) scaled to [0, 1]. Every channel group is filled;
+    the network zeroes the groups an ablation variant leaves out.
     """
     if rgb.shape != (3, f.height, f.width):
         raise GeometryError(
             f"rgb shape {rgb.shape} does not match stacked {f.height}x{f.width}"
         )
-    norm = normalize_stacked(f)
-    out = np.zeros((7, f.height, f.width), dtype=np.float64)
-    if use_rgb:
-        out[0:3] = rgb
-    if use_counts:
-        out[3:5] = norm[0:2]
-    if use_timestamps:
-        out[5:7] = norm[2:4]
-    return out
+    return np.concatenate([rgb, normalize_stacked(f)])
 
 
 def save_stacked(f: StackedFrame, path) -> None:

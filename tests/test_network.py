@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import CheckpointError, ConfigError, McfrError, NonFiniteError
+from mcfr.errors import (
+    CheckpointError,
+    ConfigError,
+    GeometryError,
+    McfrError,
+    NonFiniteError,
+)
 from mcfr.events import MAX_SENSOR_SIDE
 from mcfr.network import (
     ABLATION_VARIANTS,
@@ -16,7 +22,8 @@ from mcfr.network import (
     MCFRConfig,
     MCFRModel,
     TrainBatch,
-    _blocks_forward,
+    _layers,
+    _run,
     ablation_flags,
     backward,
     classify_features,
@@ -61,7 +68,7 @@ UER_ONLY = AblationFlags(use_uee=False, use_cfe=False)
 def tau_output_cols(model, x7):
     """The im2col columns the first CFE conv took from tau's output."""
     _, cache = features_forward(model, x7, None)
-    return cache["cfe"][0][0][1]
+    return cache["cfe"][1][1]  # layer 0 is tau, layer 1 the first CFE conv
 
 
 def expect_cols(model, tau_out):
@@ -74,7 +81,7 @@ def uer_output(model, rgb):
     n, _, s, _ = rgb.shape
     assembled = np.concatenate([rgb, np.zeros((n, 4, s, s))], axis=1)
     _, cache = features_forward(model, assembled, None)
-    x_shape, cols = cache["fusion"][:2]
+    x_shape, cols = cache["fusion"][0][:2]
     return cols.reshape(x_shape)  # 1x1 conv: the columns are the input
 
 
@@ -142,19 +149,24 @@ class TestTau:
         assert np.allclose(y, expect_cols(model, expect), atol=1e-12)
 
 
+def cfe_blocks(config):
+    """The CFE blocks' layers, without the tau layer in front of them."""
+    return _layers(config)["cfe"][1:]
+
+
 class TestBranches:
     def test_cfe_default_shape(self):
         config = MCFRConfig()
         assert config.feature_hw == (3, 3)
         model = MCFRModel.initialize(config, seed=0)
         x = np.random.default_rng(0).random((1, 3, 107, 107))
-        y, _ = _blocks_forward(x, config.cfe, model.params, "cfe")
+        y, _ = _run(x, cfe_blocks(config), model.params)
         assert y.shape == (1, 512, 3, 3)
 
     def test_cfe_zero_input_zero_output(self):
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=0)
-        y, _ = _blocks_forward(np.zeros((1, 3, 19, 19)), config.cfe, model.params, "cfe")
+        y, _ = _run(np.zeros((1, 3, 19, 19)), cfe_blocks(config), model.params)
         assert not y.any()  # biases start at zero
 
     def test_cfe_positive_homogeneity(self):
@@ -162,8 +174,8 @@ class TestBranches:
         config = MCFRConfig.reduced()
         model = MCFRModel.initialize(config, seed=1)
         x = np.random.default_rng(1).standard_normal((1, 3, 75, 75))
-        y1, _ = _blocks_forward(x, config.cfe, model.params, "cfe")
-        y2, _ = _blocks_forward(2.0 * x, config.cfe, model.params, "cfe")
+        y1, _ = _run(x, cfe_blocks(config), model.params)
+        y2, _ = _run(2.0 * x, cfe_blocks(config), model.params)
         assert np.allclose(y2, 2.0 * y1, atol=1e-9)
 
     def test_uer_matches_cfe_spatial(self):
@@ -265,6 +277,38 @@ class TestFusion:
             for variant in ABLATION_VARIANTS
         }
         assert len(set(prints.values())) == len(prints)
+
+
+# the channel groups of the assembled input each variant leaves out
+DROPPED_INPUTS = {"c": slice(5, 7), "t": slice(3, 5), "oe": slice(0, 3),
+                  "or": slice(3, 7)}
+
+
+class TestInputAblation:
+    @pytest.mark.parametrize("variant", sorted(DROPPED_INPUTS))
+    def test_dropped_channels_do_not_reach_the_logits(self, variant):
+        config = MCFRConfig.tiny(ablation=ablation_flags(variant))
+        model = MCFRModel.initialize(config, seed=0)
+        assembled, uee_feat = rand_inputs(config, 2, seed=1)
+        before = assembled.copy()
+        logits, _ = forward(model, assembled, uee_feat, 0)
+        assert np.array_equal(assembled, before)  # the caller's input is kept
+        dropped = DROPPED_INPUTS[variant]
+        other = assembled.copy()
+        other[:, dropped] = np.random.default_rng(2).random(other[:, dropped].shape)
+        again, _ = forward(model, other, uee_feat, 0)
+        assert np.array_equal(logits, again)
+
+    @pytest.mark.parametrize("variant", ["c", "t"])
+    def test_differs_from_full(self, variant):
+        full = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        model = MCFRModel.initialize(full.config.with_ablation(variant), seed=0)
+        # same parameters: the variant changes only what reaches them
+        assert all(np.array_equal(model.params[k], v) for k, v in full.params.items())
+        assembled, uee_feat = rand_inputs(full.config, 2, seed=1)
+        want, _ = forward(full, assembled, uee_feat, 0)
+        got, _ = forward(model, assembled, uee_feat, 0)
+        assert not np.allclose(got, want)
 
 
 class TestTrainStep:
@@ -378,15 +422,22 @@ class TestEndToEndGradients:
         )
         assert report.passed, f"{report.per_param} kinks={report.kinks}"
 
-    @pytest.mark.parametrize("scale,seed", [
-        ("tiny", 0), ("tiny", 1), ("tiny", 2),
-        ("reduced", 0),  # the only scale with max pools
+    @pytest.mark.parametrize("scale,seed,variant", [
+        pytest.param("tiny", 0, "full", id="tiny-0"),
+        pytest.param("tiny", 1, "full", id="tiny-1"),
+        pytest.param("tiny", 2, "full", id="tiny-2"),
+        # the only scale with max pools
+        pytest.param("reduced", 0, "full", id="reduced-0"),
+        # each way of choosing branches and splitting the fusion gradient
+        *(pytest.param("tiny", 0, v, id=f"tiny-0-{v}")
+          for v in ("er", "no-uee", "no-cfe", "no-uer")),
     ])
-    def test_matches_layer_oracles(self, scale, seed):
+    def test_matches_layer_oracles(self, scale, seed, variant):
         # Each gradient against the oracle layers, scaled to its own largest
         # entry: finite differences divide by max(|a|, |n|, 1), which hides
         # an error in a gradient much smaller than 1.
-        config = MCFRConfig.tiny() if scale == "tiny" else MCFRConfig.reduced()
+        base = MCFRConfig.tiny() if scale == "tiny" else MCFRConfig.reduced()
+        config = base.with_ablation(variant)
         model = MCFRModel.initialize(config, seed=seed)
         assembled, uee_feat = rand_inputs(config, 2, seed=200 + seed)
         logits, cache = forward(model, assembled, uee_feat, 0)
@@ -578,6 +629,15 @@ class TestConfigValidation:
             MCFRConfig(fc_dims=(512,))
         with pytest.raises(ConfigError):
             MCFRConfig(input_crop=107.0)
+
+    @pytest.mark.parametrize("branch", ["cfe", "uer"])
+    def test_collapsing_branch_rejected(self, branch):
+        # a kernel wider than the crop leaves no output; both branches' sizes
+        # shape the layer tables, so the config is refused when built
+        base = MCFRConfig.tiny()
+        blocks = (ConvBlockSpec(4, base.input_crop + 2, 1, 0), *getattr(base, branch)[1:])
+        with pytest.raises(GeometryError, match="collapses"):
+            replace(base, **{branch: blocks})
 
     def test_input_crop_capped_at_sensor_side(self):
         with pytest.raises(ConfigError, match="sensor side limit"):

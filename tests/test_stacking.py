@@ -115,19 +115,6 @@ class TestAssembleInput:
         for k in range(4):
             assert np.array_equal(out[3 + k], norm[k])
 
-    def test_ablation_zeroing(self):
-        rng = np.random.default_rng(4)
-        s = random_stream(rng, 200, 4, 4, 1000)
-        f = stack_events(s, TimeWindow(0, 1000))
-        rgb = rng.random((3, 4, 4))
-        counts_only = assemble_input(rgb, f, use_timestamps=False)
-        assert counts_only[3:5].any() and not counts_only[5:7].any()
-        times_only = assemble_input(rgb, f, use_counts=False)
-        assert not times_only[3:5].any() and times_only[5:7].any()
-        events_only = assemble_input(rgb, f, use_rgb=False)
-        assert not events_only[0:3].any()
-        assert counts_only.shape == (7, 4, 4)
-
     def test_geometry_mismatch(self):
         f = stack_events(EventStream.empty(4, 4), TimeWindow(0, 10))
         with pytest.raises(GeometryError):
