@@ -1,6 +1,11 @@
 """The fusion network: shared branch, RGB branch, event branch, and the
 multi-domain classification head.
 
+The config names its ablation variant, and ABLATION_VARIANTS lists the
+branches and input channel groups each variant keeps. Every event-branch
+layer has the geometry UEE_KERNEL, UEE_STRIDE, UEE_PADDING and SRMParams'
+time constants; the config sets only its channel widths and time bins.
+
 Data flow for one sample: the 7-channel assembled input, with the channel
 groups the ablation variant leaves out set to zero, passes through a
 learned 1x1 channel transform (tau, 7->3) into the shared convolutional
@@ -30,7 +35,6 @@ never the event branch.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import struct
@@ -67,7 +71,9 @@ from .nn import (
 from .snn import SRMConvLayer, SRMParams, UeeNetwork, make_uee
 
 CHECKPOINT_MAGIC = b"MCFR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
 
 
 def _require_int(name: str, value, minimum: int) -> None:
@@ -100,89 +106,66 @@ class ConvBlockSpec:
 
 @dataclass(frozen=True)
 class SRMNetSpec:
-    """Event-branch layout: (in, hidden..., out) channels, shared geometry."""
+    """Event-branch layout: (in, hidden..., out) channels and the number of
+    time bins of the spike encoding. The layer geometry (UEE_KERNEL,
+    UEE_STRIDE, UEE_PADDING) and the SRM time constants are fixed."""
 
     channels: tuple[int, ...] = (2, 16, 32, 64)
-    kernel: int = 3
-    stride: int = 2
-    padding: int = 1
-    tau_s: float = 5.0
-    tau_r: float = 5.0
-    phi: float = 1.0
-    dt: float = 1.0
     t_bins: int = 32
 
     def __post_init__(self):
         if len(self.channels) < 2:
             raise ConfigError("SRMNetSpec needs input and output channel counts")
-        _require_ints(self, ("kernel", "stride"), 1)
-        _require_ints(self, ("padding",), 0)
         for c in self.channels:
             _require_int("SRMNetSpec.channels", c, 1)
-        self.srm_params()  # validates the time constants and t_bins
+        _require_ints(self, ("t_bins",), 1)
 
     def srm_params(self) -> SRMParams:
-        return SRMParams(
-            tau_s=self.tau_s, tau_r=self.tau_r, phi=self.phi,
-            dt=self.dt, t_bins=self.t_bins,
-        )
+        return SRMParams(t_bins=self.t_bins)
+
+
+ALL_BRANCHES = ("uee", "cfe", "uer")
+ALL_INPUTS = ("rgb", "counts", "timestamps")  # 3, 2 and 2 input channels
+
+# Variant name -> (branches kept, in UEE|CFE|UER order; input groups kept):
+# the eight ablations of the paper plus the full model.
+ABLATION_VARIANTS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "full": (ALL_BRANCHES, ALL_INPUTS),
+    "oe": (("cfe",), ("counts", "timestamps")),
+    "or": (("cfe",), ("rgb",)),
+    "er": (("cfe",), ALL_INPUTS),
+    "no-uee": (("cfe", "uer"), ALL_INPUTS),
+    "no-cfe": (("uee", "uer"), ALL_INPUTS),
+    "no-uer": (("uee", "cfe"), ALL_INPUTS),
+    "c": (ALL_BRANCHES, ("rgb", "counts")),
+    "t": (ALL_BRANCHES, ("rgb", "timestamps")),
+}
 
 
 @dataclass(frozen=True)
 class AblationFlags:
-    use_uee: bool = True
-    use_cfe: bool = True
-    use_uer: bool = True
-    use_counts: bool = True
-    use_timestamps: bool = True
-    rgb_only: bool = False
-    event_only: bool = False
+    """The ablation variant, by its name in ABLATION_VARIANTS."""
+
+    variant: str = "full"
 
     def __post_init__(self):
-        if not (self.use_uee or self.use_cfe or self.use_uer):
-            raise ConfigError("at least one branch must stay enabled")
-        if self.rgb_only and self.event_only:
-            raise ConfigError("rgb_only and event_only are mutually exclusive")
-        if self.event_only and self.use_uer:
-            raise ConfigError("the RGB branch cannot run on event-only input")
-        if self.rgb_only and self.use_uee:
-            raise ConfigError("the event branch cannot run on rgb-only input")
-
-    # channel groups of the assembled input actually populated
-    @property
-    def input_use_rgb(self) -> bool:
-        return not self.event_only
+        if self.variant not in ABLATION_VARIANTS:
+            raise ConfigError(
+                f"unknown ablation variant {self.variant!r}; "
+                f"choose from {sorted(ABLATION_VARIANTS)}"
+            )
 
     @property
-    def input_use_counts(self) -> bool:
-        return self.use_counts and not self.rgb_only
+    def use_uee(self) -> bool:
+        return "uee" in ABLATION_VARIANTS[self.variant][0]
 
     @property
-    def input_use_timestamps(self) -> bool:
-        return self.use_timestamps and not self.rgb_only
+    def use_cfe(self) -> bool:
+        return "cfe" in ABLATION_VARIANTS[self.variant][0]
 
-
-# Named variant -> flag overrides; the benchmark's eight ablations + full.
-ABLATION_VARIANTS: dict[str, dict] = {
-    "full": {},
-    "oe": {"use_uee": False, "use_uer": False, "event_only": True},
-    "or": {"use_uee": False, "use_uer": False, "rgb_only": True},
-    "er": {"use_uee": False, "use_uer": False},
-    "no-uee": {"use_uee": False},
-    "no-cfe": {"use_cfe": False},
-    "no-uer": {"use_uer": False},
-    "c": {"use_timestamps": False},
-    "t": {"use_counts": False},
-}
-
-
-def ablation_flags(variant: str) -> AblationFlags:
-    if variant not in ABLATION_VARIANTS:
-        raise ConfigError(
-            f"unknown ablation variant {variant!r}; "
-            f"choose from {sorted(ABLATION_VARIANTS)}"
-        )
-    return AblationFlags(**ABLATION_VARIANTS[variant])
+    @property
+    def use_uer(self) -> bool:
+        return "uer" in ABLATION_VARIANTS[self.variant][0]
 
 
 def _blocks_hw(size: int, blocks: tuple[ConvBlockSpec, ...]) -> tuple[int, int]:
@@ -239,14 +222,10 @@ class MCFRConfig:
 
     @property
     def branch_channels(self) -> dict[str, int]:
-        out = {}
-        if self.ablation.use_uee:
-            out["uee"] = self.uee.channels[-1]
-        if self.ablation.use_cfe:
-            out["cfe"] = self.cfe[-1].out_channels
-        if self.ablation.use_uer:
-            out["uer"] = self.uer[-1].out_channels
-        return out
+        widths = {"uee": self.uee.channels[-1], "cfe": self.cfe[-1].out_channels,
+                  "uer": self.uer[-1].out_channels}
+        return {name: widths[name]
+                for name in ABLATION_VARIANTS[self.ablation.variant][0]}
 
     @property
     def fusion_in_channels(self) -> int:
@@ -258,10 +237,7 @@ class MCFRConfig:
         return self.fusion_channels * h * w
 
     def with_ablation(self, variant: str) -> "MCFRConfig":
-        return replace(self, ablation=ablation_flags(variant))
-
-    def with_num_domains(self, k: int) -> "MCFRConfig":
-        return replace(self, num_domains=k)
+        return replace(self, ablation=AblationFlags(variant))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -281,11 +257,8 @@ class MCFRConfig:
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
-
     @classmethod
-    def reduced(cls, num_domains: int = 1, ablation: AblationFlags | None = None):
+    def reduced(cls, num_domains: int = 1):
         """Desk-scale geometry: crop 75, narrow channels, 8 time bins."""
         return cls(
             input_crop=75,
@@ -303,11 +276,10 @@ class MCFRConfig:
             fusion_channels=64,
             fc_dims=(64, 64),
             num_domains=num_domains,
-            ablation=ablation or AblationFlags(),
         )
 
     @classmethod
-    def tiny(cls, num_domains: int = 2, ablation: AblationFlags | None = None):
+    def tiny(cls, num_domains: int = 2):
         """Gradient-check geometry: everything as small as the layer set allows."""
         return cls(
             input_crop=19,
@@ -325,7 +297,6 @@ class MCFRConfig:
             fusion_channels=8,
             fc_dims=(8, 8),
             num_domains=num_domains,
-            ablation=ablation or AblationFlags(),
         )
 
 
@@ -378,9 +349,9 @@ def param_shapes(config: MCFRConfig) -> dict[str, tuple[int, ...]]:
                     shapes[f"{name}.w"] = w_shape
                     shapes[f"{name}.b"] = w_shape[:1]
     if config.ablation.use_uee:
-        spec = config.uee
-        for i, (cin, cout) in enumerate(zip(spec.channels, spec.channels[1:])):
-            shapes[f"uee.{i}.w"] = (cout, cin, spec.kernel, spec.kernel)
+        channels = config.uee.channels
+        for i, (cin, cout) in enumerate(zip(channels, channels[1:])):
+            shapes[f"uee.{i}.w"] = (cout, cin, UEE_KERNEL, UEE_KERNEL)
     return shapes
 
 
@@ -397,11 +368,12 @@ class MCFRModel:
 
     def __init__(self, config: MCFRConfig, params: dict[str, np.ndarray],
                  uee: UeeNetwork | None):
+        if config.ablation.use_uee != (uee is not None):
+            need = "needs a" if config.ablation.use_uee else "takes no"
+            raise ConfigError(f"variant {config.ablation.variant!r} {need} UEE network")
         self.config = config
         self.params = params
         self.uee = uee
-        if config.ablation.use_uee and uee is None:
-            raise ConfigError("config enables the event branch but no UEE given")
 
     @classmethod
     def initialize(cls, config: MCFRConfig, seed: int = 0) -> "MCFRModel":
@@ -421,9 +393,8 @@ class MCFRModel:
         uee = None
         if config.ablation.use_uee:
             uee = make_uee(
-                config.uee.channels, config.uee.kernel, config.uee.stride,
-                config.uee.padding, config.uee.srm_params(),
-                seed=int(rng.integers(0, 2**31)),
+                config.uee.channels, UEE_KERNEL, UEE_STRIDE, UEE_PADDING,
+                config.uee.srm_params(), seed=int(rng.integers(0, 2**31)),
             )
         return cls(config, p, uee)
 
@@ -502,8 +473,8 @@ def _run_backward(dy, layers, caches, params, grads):
 def _drop_input_groups(assembled: np.ndarray, flags: AblationFlags) -> np.ndarray:
     """The assembled input with the channel groups the variant leaves out
     set to zero; the input itself when it keeps them all."""
-    keep = np.repeat([flags.input_use_rgb, flags.input_use_counts,
-                      flags.input_use_timestamps], (3, 2, 2))
+    kept = ABLATION_VARIANTS[flags.variant][1]
+    keep = np.repeat([group in kept for group in ALL_INPUTS], (3, 2, 2))
     return assembled if keep.all() else np.where(keep[:, None, None], assembled, 0.0)
 
 
@@ -731,10 +702,9 @@ def load_checkpoint(path) -> MCFRModel:
     params = {k: arrays[k] for k in expected if not k.startswith("uee.")}
     uee = None
     if config.ablation.use_uee:
-        spec = config.uee
-        srm = spec.srm_params()
+        srm = config.uee.srm_params()
         uee = UeeNetwork(layers=[
-            SRMConvLayer(arrays[f"uee.{i}.w"], spec.stride, spec.padding, srm)
-            for i in range(len(spec.channels) - 1)
+            SRMConvLayer(arrays[f"uee.{i}.w"], UEE_STRIDE, UEE_PADDING, srm)
+            for i in range(len(config.uee.channels) - 1)
         ])
     return MCFRModel(config, params, uee)

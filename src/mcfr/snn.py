@@ -73,17 +73,17 @@ def kernel_u(t, tau_r: float, phi: float):
 
 
 def encode_events_to_spikes(
-    stream: EventStream, window: TimeWindow, params: SRMParams,
-    geometry: tuple[int, int] | None = None,
+    stream: EventStream, window: TimeWindow, params: SRMParams
 ) -> np.ndarray:
-    """Binary (2, H, W, T) tensor; channel 0 = negative, 1 = positive.
+    """Binary (2, H, W, T) tensor over the stream's sensor; channel 0 =
+    negative, 1 = positive.
 
     Bin index floor((t - t0)/(t1 - t0) * t_bins), clamped into range; a
     bin is 1 if at least one event of that polarity hit that pixel.
     """
-    w, h = geometry if geometry is not None else (stream.width, stream.height)
     sub = slice_window(stream, window)
-    spikes = np.zeros((2, h, w, params.t_bins), dtype=np.float64)
+    spikes = np.zeros((2, stream.height, stream.width, params.t_bins),
+                      dtype=np.float64)
     if len(sub):
         rel = (sub.t - window.t0).astype(np.float64) / window.duration
         bins = np.minimum(
@@ -142,10 +142,10 @@ def synaptic_filter(x: np.ndarray, params: SRMParams) -> np.ndarray:
     return x @ _synaptic_matrix(x.shape[-1], params).T
 
 
-def _weighted_psp(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
-    """conv(W, v * x) for every time step: (C,H,W,T) -> (O,H',W',T)."""
+def membrane_drive(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
+    """Un-thresholded drive conv(W, v * x) for every time step, with no
+    spikes and no reset: (C,H,W,T) -> (O,H',W',T)."""
     filtered = synaptic_filter(x, layer.params)
-    t = filtered.shape[-1]
     batch = filtered.transpose(3, 0, 1, 2)  # time as batch
     zero_bias = np.zeros(layer.weights.shape[0])
     y, _ = conv2d_forward(batch, layer.weights, zero_bias, layer.stride, layer.padding)
@@ -161,7 +161,7 @@ def srm_layer_forward(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
     """
     p = layer.params
     # back to the conv's own contiguous (T,O,H',W') layout: a view, no copy
-    psp = _weighted_psp(x, layer).transpose(3, 0, 1, 2)
+    psp = membrane_drive(x, layer).transpose(3, 0, 1, 2)
     t = psp.shape[0]
     drive = psp.reshape(t, -1)
     u_tail = _refractory_tail(t, p)
@@ -174,11 +174,6 @@ def srm_layer_forward(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
             if cols.size:
                 refr[k + 1 :, cols] += u_tail[: t - k - 1]
     return fired.astype(np.float64).reshape(psp.shape).transpose(1, 2, 3, 0)
-
-
-def membrane_drive(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
-    """Un-thresholded drive of the read-out layer (no spikes, no reset)."""
-    return _weighted_psp(x, layer)
 
 
 def mean_over_time(x: np.ndarray) -> np.ndarray:

@@ -232,8 +232,7 @@ def initialize_oracle(config, seed=0):
     uee = None
     if config.ablation.use_uee:
         uee = make_uee(
-            config.uee.channels, config.uee.kernel, config.uee.stride,
-            config.uee.padding, config.uee.srm_params(),
+            config.uee.channels, 3, 2, 1, config.uee.srm_params(),  # k, stride, pad
             seed=int(rng.integers(0, 2**31)),
         )
     return p, uee

@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from mcfr.errors import (
 from mcfr.events import MAX_SENSOR_SIDE
 from mcfr.network import (
     ABLATION_VARIANTS,
-    AblationFlags,
+    CHECKPOINT_VERSION,
     ConvBlockSpec,
     MCFRConfig,
     MCFRModel,
     TrainBatch,
     _layers,
     _run,
-    ablation_flags,
     backward,
     classify_features,
     default_sgd_config,
@@ -60,9 +60,7 @@ def rand_inputs(config, n, seed=0):
 
 
 # The shared branch alone, so features_forward needs no event features.
-CFE_ONLY = ablation_flags("er")
-# The RGB branch alone; no named variant isolates it.
-UER_ONLY = AblationFlags(use_uee=False, use_cfe=False)
+CFE_ONLY = MCFRConfig.tiny().with_ablation("er")
 
 
 def tau_output_cols(model, x7):
@@ -77,12 +75,9 @@ def expect_cols(model, tau_out):
 
 
 def uer_output(model, rgb):
-    """The UER output, adapted to feature_hw, as the fusion conv took it."""
-    n, _, s, _ = rgb.shape
-    assembled = np.concatenate([rgb, np.zeros((n, 4, s, s))], axis=1)
-    _, cache = features_forward(model, assembled, None)
-    x_shape, cols = cache["fusion"][0][:2]
-    return cols.reshape(x_shape)  # 1x1 conv: the columns are the input
+    """The UER output, adapted to feature_hw, as the fusion conv takes it."""
+    out, _ = _run(rgb, _layers(model.config)["uer"], model.params)
+    return out
 
 
 class TestInitialize:
@@ -117,7 +112,7 @@ class TestInitialize:
 
 class TestTau:
     def test_identity_projection(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=0)
+        model = MCFRModel.initialize(CFE_ONLY, seed=0)
         w = np.zeros_like(model.params["tau.w"])
         for c in range(3):
             w[c, c, 0, 0] = 1.0
@@ -128,14 +123,14 @@ class TestTau:
         assert np.allclose(y, expect_cols(model, x[:, :3]))
 
     def test_zero_weights(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=0)
+        model = MCFRModel.initialize(CFE_ONLY, seed=0)
         model.params["tau.w"] = np.zeros_like(model.params["tau.w"])
         model.params["tau.b"][:] = 0.0
         x = np.random.default_rng(2).random((1, 7, 19, 19))
         assert not tau_output_cols(model, x).any()
 
     def test_matches_pointwise_matrix_oracle(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=CFE_ONLY), seed=3)
+        model = MCFRModel.initialize(CFE_ONLY, seed=3)
         rng = np.random.default_rng(4)
         x = rng.random((2, 7, 19, 19))
         y = tau_output_cols(model, x)
@@ -179,8 +174,7 @@ class TestBranches:
         assert np.allclose(y2, 2.0 * y1, atol=1e-9)
 
     def test_uer_matches_cfe_spatial(self):
-        for base in (MCFRConfig(), MCFRConfig.reduced(), MCFRConfig.tiny()):
-            config = replace(base, ablation=UER_ONLY)
+        for config in (MCFRConfig(), MCFRConfig.reduced(), MCFRConfig.tiny()):
             model = MCFRModel.initialize(config, seed=0)
             s = config.input_crop
             rgb = np.random.default_rng(0).random((1, 3, s, s))
@@ -189,7 +183,7 @@ class TestBranches:
             assert out.shape[1] == config.uer[-1].out_channels
 
     def test_uer_zero_input(self):
-        model = MCFRModel.initialize(MCFRConfig.tiny(ablation=UER_ONLY), seed=0)
+        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
         assert not uer_output(model, np.zeros((1, 3, 19, 19))).any()
 
     def test_uer_pointwise_layers_commute_with_permutation(self):
@@ -248,24 +242,17 @@ class TestFusion:
     def test_fusion_width_tracks_enabled_branches(self):
         base = MCFRConfig.tiny()
         full_width = base.fusion_in_channels
-        for variant, overrides in ABLATION_VARIANTS.items():
+        widths = {"uee": base.uee.channels[-1], "cfe": base.cfe[-1].out_channels,
+                  "uer": base.uer[-1].out_channels}
+        for variant, (branches, _) in ABLATION_VARIANTS.items():
             cfg = base.with_ablation(variant)
-            expect = 0
-            flags = cfg.ablation
-            if flags.use_uee:
-                expect += base.uee.channels[-1]
-            if flags.use_cfe:
-                expect += base.cfe[-1].out_channels
-            if flags.use_uer:
-                expect += base.uer[-1].out_channels
-            assert cfg.fusion_in_channels == expect
-            if overrides.get("use_uee") is False or overrides.get("use_cfe") is False \
-                    or overrides.get("use_uer") is False:
+            assert cfg.fusion_in_channels == sum(widths[b] for b in branches)
+            if len(branches) < 3:
                 assert cfg.fusion_in_channels < full_width
 
     def test_all_variants_forward(self):
         for variant in ABLATION_VARIANTS:
-            config = MCFRConfig.tiny(ablation=ablation_flags(variant))
+            config = MCFRConfig.tiny().with_ablation(variant)
             model = MCFRModel.initialize(config, seed=0)
             assembled, uee_feat = rand_inputs(config, 2, seed=1)
             logits, _ = forward(model, assembled, uee_feat, domain=0)
@@ -273,7 +260,7 @@ class TestFusion:
 
     def test_variant_fingerprints_distinct(self):
         prints = {
-            variant: MCFRConfig.tiny(ablation=ablation_flags(variant)).fingerprint()
+            variant: MCFRConfig.tiny().with_ablation(variant).canonical_json()
             for variant in ABLATION_VARIANTS
         }
         assert len(set(prints.values())) == len(prints)
@@ -287,7 +274,7 @@ DROPPED_INPUTS = {"c": slice(5, 7), "t": slice(3, 5), "oe": slice(0, 3),
 class TestInputAblation:
     @pytest.mark.parametrize("variant", sorted(DROPPED_INPUTS))
     def test_dropped_channels_do_not_reach_the_logits(self, variant):
-        config = MCFRConfig.tiny(ablation=ablation_flags(variant))
+        config = MCFRConfig.tiny().with_ablation(variant)
         model = MCFRModel.initialize(config, seed=0)
         assembled, uee_feat = rand_inputs(config, 2, seed=1)
         before = assembled.copy()
@@ -454,8 +441,9 @@ class TestEndToEndGradients:
 
 
 class TestCheckpoint:
-    def test_round_trip_forward_agreement(self, tmp_path):
-        config = MCFRConfig.tiny(num_domains=2)
+    @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+    def test_round_trip_forward_agreement(self, tmp_path, variant):
+        config = MCFRConfig.tiny(num_domains=2).with_ablation(variant)
         model = MCFRModel.initialize(config, seed=0)
         path = tmp_path / "model.mcfr"
         save_checkpoint(model, path)
@@ -476,6 +464,15 @@ class TestCheckpoint:
         bad.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+    def test_old_version_rejected(self, tmp_path):
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        assert data[4:6] == struct.pack("<H", CHECKPOINT_VERSION)
+        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mcfr"
@@ -583,6 +580,14 @@ class TestCheckpoint:
             assert np.array_equal(a.weights, b.weights)
             assert a.weights is not b.weights
 
+    def test_uee_given_exactly_when_the_variant_keeps_it(self):
+        # otherwise save_checkpoint writes a file load_checkpoint refuses
+        full = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        with pytest.raises(ConfigError, match="takes no UEE"):
+            MCFRModel(full.config.with_ablation("no-uee"), full.params, full.uee)
+        with pytest.raises(ConfigError, match="needs a UEE"):
+            MCFRModel(full.config, full.params, None)
+
     def test_copy_is_independent(self):
         model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
         twin = model.copy()
@@ -624,7 +629,7 @@ class TestConfigValidation:
 
     def test_model_config_rejects(self):
         with pytest.raises(ConfigError):
-            MCFRConfig.tiny().with_num_domains(0)
+            replace(MCFRConfig.tiny(), num_domains=0)
         with pytest.raises(ConfigError):
             MCFRConfig(fc_dims=(512,))
         with pytest.raises(ConfigError):
@@ -642,3 +647,24 @@ class TestConfigValidation:
     def test_input_crop_capped_at_sensor_side(self):
         with pytest.raises(ConfigError, match="sensor side limit"):
             MCFRConfig(input_crop=MAX_SENSOR_SIDE + 1)
+
+
+@pytest.mark.parametrize("variant", ["full", "no-cfe", "no-uer"])
+def test_benchmark_walks_match_the_library(monkeypatch, variant):
+    # the benchmark's traced copy of the network picks its branches by the
+    # AblationFlags properties; it must agree with the library bit for bit
+    # on every variant that has a UEE and keeps every input group
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "mcfrbench"))
+    from layers import check_walks
+    from tracer import Tracer
+
+    config = MCFRConfig.tiny().with_ablation(variant)
+    model = MCFRModel.initialize(config, seed=0)
+    s = config.input_crop
+    rng = np.random.default_rng(1)
+    # at 10% density the tiny UEE stays silent and would compare zeros
+    spikes = (rng.random((2, s, s, config.uee.t_bins)) < 0.3).astype(float)
+    assembled, uee_feat = rand_inputs(config, 4, seed=2)
+    ok = check_walks(Tracer, model, spikes, assembled, uee_feat,
+                     np.array([1, 0, 1, 0]), 0)
+    assert ok == {"uee": True, "forward": True, "train": True}
