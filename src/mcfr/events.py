@@ -217,8 +217,8 @@ def save_events(stream: EventStream, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# t_us,x,y,p\n")
         fh.write(f"# {stream.width},{stream.height}\n")
-        for i in range(len(stream)):
-            fh.write(f"{stream.t[i]},{stream.x[i]},{stream.y[i]},{stream.p[i]}\n")
+        cols = [c.tolist() for c in (stream.t, stream.x, stream.y, stream.p)]
+        fh.writelines(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols))
 
 
 def _is_int(s: str) -> bool:

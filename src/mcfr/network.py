@@ -68,7 +68,7 @@ from .nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from .snn import SRMConvLayer, SRMParams, UeeNetwork, make_uee
+from .snn import SRMConvLayer, SRMParams, UeeNetwork
 
 CHECKPOINT_MAGIC = b"MCFR"
 CHECKPOINT_VERSION = 2
@@ -118,7 +118,7 @@ class SRMNetSpec:
             raise ConfigError("SRMNetSpec needs input and output channel counts")
         for c in self.channels:
             _require_int("SRMNetSpec.channels", c, 1)
-        _require_ints(self, ("t_bins",), 1)
+        self.srm_params()  # checks t_bins
 
     def srm_params(self) -> SRMParams:
         return SRMParams(t_bins=self.t_bins)
@@ -360,50 +360,69 @@ def _init_array(rng: np.random.Generator, name: str, shape) -> np.ndarray:
         return np.zeros(shape)
     if name.startswith("fc6."):
         return rng.normal(0.0, 0.001, shape)
+    if name.startswith("uee."):
+        return rng.normal(0.0, 1.0 / math.sqrt(math.prod(shape[1:])), shape)
     return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
 
 
 class MCFRModel:
-    """Parameter store plus the frozen event-branch network."""
+    """A config plus `params`, which holds every array param_shapes(config)
+    lists, in that order: the trainable weights and biases and the frozen
+    event-branch weights `uee.i.w`."""
 
-    def __init__(self, config: MCFRConfig, params: dict[str, np.ndarray],
-                 uee: UeeNetwork | None):
-        if config.ablation.use_uee != (uee is not None):
-            need = "needs a" if config.ablation.use_uee else "takes no"
-            raise ConfigError(f"variant {config.ablation.variant!r} {need} UEE network")
+    def __init__(self, config: MCFRConfig, params: dict[str, np.ndarray]):
+        # every fc6 head has two arrays: refuse a domain count the arrays
+        # cannot cover before param_shapes pays for each domain
+        if 2 * config.num_domains > len(params):
+            raise ConfigError(f"parameter set mismatch ({config.num_domains} "
+                              f"domains need more than {len(params)} arrays)")
+        expected = param_shapes(config)
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
+        if missing or extra:
+            raise ConfigError(
+                f"parameter set mismatch (missing {missing}, extra {extra})"
+            )
+        for name, shape in expected.items():
+            if params[name].shape != shape:
+                raise ConfigError(
+                    f"shape mismatch for {name!r}: {params[name].shape} != {shape}"
+                )
         self.config = config
-        self.params = params
-        self.uee = uee
+        self.params = {name: params[name] for name in expected}
+
+    @property
+    def uee(self) -> UeeNetwork | None:
+        """The frozen event branch as a view over params["uee.i.w"] (no
+        copies), or None when the variant drops it."""
+        if not self.config.ablation.use_uee:
+            return None
+        srm = self.config.uee.srm_params()
+        return UeeNetwork(layers=[
+            SRMConvLayer(self.params[f"uee.{i}.w"], UEE_STRIDE, UEE_PADDING, srm)
+            for i in range(len(self.config.uee.channels) - 1)
+        ])
 
     @classmethod
     def initialize(cls, config: MCFRConfig, seed: int = 0) -> "MCFRModel":
         """He-scaled Gaussian init for convs and hidden fcs; small Gaussian
-        for the domain heads; zero biases.
+        for the domain heads; zero biases. The frozen event-branch weights
+        come last, from a second generator seeded by the first, with std
+        1/sqrt(fan-in).
 
         Fan-in scaling (rather than a fixed tiny std) keeps feature
         magnitudes O(1) through the stack, which from-scratch training at
         desk scale needs to make any progress.
         """
         rng = np.random.default_rng(seed)
-        p = {
-            name: _init_array(rng, name, shape)
-            for name, shape in param_shapes(config).items()
-            if not name.startswith("uee.")
-        }
-        uee = None
-        if config.ablation.use_uee:
-            uee = make_uee(
-                config.uee.channels, UEE_KERNEL, UEE_STRIDE, UEE_PADDING,
-                config.uee.srm_params(), seed=int(rng.integers(0, 2**31)),
-            )
-        return cls(config, p, uee)
-
-    def all_arrays(self) -> dict[str, np.ndarray]:
-        """Trainable params plus frozen event-branch weights (checkpoint set)."""
-        out = dict(self.params)
-        if self.uee is not None:
-            out.update(self.uee.parameter_arrays())
-        return out
+        shapes = param_shapes(config)
+        p = {name: _init_array(rng, name, shape)
+             for name, shape in shapes.items() if not name.startswith("uee.")}
+        # drawing this seed when the variant has no event branch changes nothing
+        uee_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        p.update((name, _init_array(uee_rng, name, shape))
+                 for name, shape in shapes.items() if name.startswith("uee."))
+        return cls(config, p)
 
     def copy(self) -> "MCFRModel":
         return copy.deepcopy(self)
@@ -418,7 +437,7 @@ class MCFRModel:
         shapes = param_shapes(cfg)
         for name in ("fc6.0.w", "fc6.0.b"):
             params[name] = _init_array(rng, name, shapes[name])
-        return MCFRModel(cfg, params, copy.deepcopy(self.uee))
+        return MCFRModel(cfg, params)
 
 
 def _run(x, layers, params):
@@ -616,7 +635,7 @@ def train_step(
 def save_checkpoint(model: MCFRModel, path) -> None:
     """magic, u16 version, u32-length-prefixed canonical config JSON, then
     name/rank/dims/f32-data records sorted by parameter name."""
-    arrays = model.all_arrays()
+    arrays = model.params
     blob = model.config.canonical_json().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -686,25 +705,7 @@ def load_checkpoint(path) -> MCFRModel:
                 ) from None
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from None
-
-    expected = param_shapes(config)
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise CheckpointError(
-            f"{path}: parameter set mismatch (missing {missing}, extra {extra})"
-        )
-    for name, arr in arrays.items():
-        if arr.shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: shape mismatch for {name!r}: {arr.shape} != {expected[name]}"
-            )
-    params = {k: arrays[k] for k in expected if not k.startswith("uee.")}
-    uee = None
-    if config.ablation.use_uee:
-        srm = config.uee.srm_params()
-        uee = UeeNetwork(layers=[
-            SRMConvLayer(arrays[f"uee.{i}.w"], UEE_STRIDE, UEE_PADDING, srm)
-            for i in range(len(config.uee.channels) - 1)
-        ])
-    return MCFRModel(config, params, uee)
+    try:
+        return MCFRModel(config, arrays)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -9,8 +9,8 @@ spike at step k is felt at steps strictly after k.
 
 The final layer of the event extractor emits its membrane drive without
 thresholding; averaging that drive over time gives the branch's feature
-map. Weights here are fixed after random initialization (no gradients
-flow into this branch).
+map. The weights are frozen: `network.MCFRModel.initialize` draws them
+once, and no gradient flows into this branch.
 
 Layout: the public functions take and return (C, H, W, T) tensors, time
 last. Inside a spiking layer the convolution runs with time as its batch
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,13 @@ class SRMParams:
     t_bins: int = 32
 
     def __post_init__(self):
-        if min(self.tau_s, self.tau_r, self.phi, self.dt) <= 0:
-            raise ConfigError("SRM parameters must be positive")
-        if self.t_bins < 1:
-            raise ConfigError("t_bins must be >= 1")
+        t = self.t_bins
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+            raise ConfigError(f"t_bins must be an integer >= 1, got {t!r}")
+        for name in ("tau_s", "tau_r", "phi", "dt"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
+                raise ConfigError(f"SRM {name} must be finite and positive, got {v!r}")
         if self.dt > self.tau_s / 4.0:
             raise ConfigError("dt must be <= tau_s/4 for sampling adequacy")
 
@@ -196,9 +200,6 @@ class UeeNetwork:
             if a.weights.shape[0] != b.weights.shape[1]:
                 raise GeometryError("channel mismatch between SRM layers")
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {f"uee.{i}.w": l.weights for i, l in enumerate(self.layers)}
-
 
 def uee_forward_spikes(
     spikes: np.ndarray, net: UeeNetwork, out_hw: tuple[int, int] | None = None
@@ -215,24 +216,3 @@ def uee_forward_spikes(
         feat = pooled[0]
     return feat
 
-
-def make_uee(
-    channels: tuple[int, ...],
-    kernel: int,
-    stride: int,
-    padding: int,
-    params: SRMParams,
-    seed: int,
-) -> UeeNetwork:
-    """Random fixed-weight network; channels = (in, hidden..., out)."""
-    if len(channels) < 2:
-        raise ConfigError("need at least input and output channel counts")
-    rng = np.random.default_rng(seed)
-    layers = []
-    for cin, cout in zip(channels, channels[1:]):
-        std = 1.0 / math.sqrt(kernel * kernel * cin)
-        w = rng.normal(0.0, std, size=(cout, cin, kernel, kernel))
-        layers.append(
-            SRMConvLayer(weights=w, stride=stride, padding=padding, params=params)
-        )
-    return UeeNetwork(layers=layers)

@@ -197,10 +197,9 @@ def conv2d_backward_oracle(dy, x, w, stride=1, pad=0):
 
 
 def initialize_oracle(config, seed=0):
-    """(params, uee) as the seed's MCFRModel.initialize drew them, one
-    named draw after another."""
-    from mcfr.snn import make_uee
-
+    """The parameters as the seed's MCFRModel.initialize drew them, one
+    named draw after another; the frozen event-branch weights come last,
+    from a second generator."""
     rng = np.random.default_rng(seed)
     p = {}
 
@@ -229,13 +228,13 @@ def initialize_oracle(config, seed=0):
         p[f"fc6.{k}.w"] = rng.normal(0.0, 0.001, (2, d1))
         p[f"fc6.{k}.b"] = np.zeros(2)
 
-    uee = None
     if config.ablation.use_uee:
-        uee = make_uee(
-            config.uee.channels, 3, 2, 1, config.uee.srm_params(),  # k, stride, pad
-            seed=int(rng.integers(0, 2**31)),
-        )
-    return p, uee
+        uee_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        channels = config.uee.channels
+        for i, (cin, cout) in enumerate(zip(channels, channels[1:])):
+            std = 1.0 / np.sqrt(3 * 3 * cin)  # 3x3 kernels
+            p[f"uee.{i}.w"] = uee_rng.normal(0.0, std, (cout, cin, 3, 3))
+    return p
 
 
 def maxpool_oracle(x, k, stride):

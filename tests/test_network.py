@@ -42,8 +42,6 @@ from mcfr.nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from mcfr.snn import UeeNetwork
-
 from .oracles import im2col_oracle, initialize_oracle, network_backward_oracle
 from .strategies import corrupted
 
@@ -89,22 +87,21 @@ class TestInitialize:
                 "paper": MCFRConfig()}[scale]
         config = base.with_ablation(variant)
         model = MCFRModel.initialize(config, seed=seed)
-        params, uee = initialize_oracle(config, seed=seed)
+        params = initialize_oracle(config, seed=seed)
         assert list(model.params) == list(params)
         for name, arr in params.items():
             assert np.array_equal(model.params[name], arr), name
-        assert (model.uee is None) == (uee is None)
-        if uee is not None:
-            assert len(model.uee.layers) == len(uee.layers)
-            for got, want in zip(model.uee.layers, uee.layers):
-                assert np.array_equal(got.weights, want.weights)
-                assert (got.stride, got.padding, got.params) == (
-                    want.stride, want.padding, want.params)
+        assert (model.uee is None) == ("uee.0.w" not in params)
+        if model.uee is not None:
+            assert len(model.uee.layers) == len(config.uee.channels) - 1
+            for layer in model.uee.layers:
+                assert (layer.stride, layer.padding, layer.params) == (
+                    2, 1, config.uee.srm_params())
 
     @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
     def test_param_shapes_is_the_checkpoint_set(self, variant):
         config = MCFRConfig.tiny(num_domains=3).with_ablation(variant)
-        arrays = MCFRModel.initialize(config, seed=0).all_arrays()
+        arrays = MCFRModel.initialize(config, seed=0).params
         shapes = param_shapes(config)
         assert list(shapes) == list(arrays)
         assert all(arrays[k].shape == shape for k, shape in shapes.items())
@@ -539,6 +536,38 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_wrong_shape_record_rejected(self, tmp_path):
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        # cfe.0.b holds 4 values; claim (2, 2) instead of (4,)
+        record = b"\x07\x00cfe.0.b\x01\x04\x00\x00\x00"
+        assert record in data
+        bad = record[:9] + b"\x02" + struct.pack("<2I", 2, 2)
+        path.write_bytes(data.replace(record, bad, 1))
+        with pytest.raises(CheckpointError, match=r"shape mismatch for 'cfe.0.b'"):
+            load_checkpoint(path)
+
+    def test_huge_domain_count_rejected_before_the_table(self, tmp_path):
+        # the claimed domain count must not set the cost of refusing the file
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
+        data = path.read_bytes()
+        assert b'"num_domains":2' in data
+        cfg_len = int.from_bytes(data[6:10], "little")
+        blob = data[10 : 10 + cfg_len].replace(b'"num_domains":2',
+                                               b'"num_domains":100000')
+        path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
+                         + data[10 + cfg_len :])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="parameter set mismatch"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_oversized_crop_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "model.mcfr"
         save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
@@ -574,8 +603,7 @@ class TestCheckpoint:
         assert single.config.num_domains == 1
         assert "fc6.1.w" not in single.params
         assert np.array_equal(single.params["fc4.w"], model.params["fc4.w"])
-        shapes = param_shapes(single.config)
-        assert set(single.params) == {k for k in shapes if not k.startswith("uee.")}
+        assert list(single.params) == list(param_shapes(single.config))
         for a, b in zip(single.uee.layers, model.uee.layers):
             assert np.array_equal(a.weights, b.weights)
             assert a.weights is not b.weights
@@ -583,17 +611,45 @@ class TestCheckpoint:
     def test_uee_given_exactly_when_the_variant_keeps_it(self):
         # otherwise save_checkpoint writes a file load_checkpoint refuses
         full = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
-        with pytest.raises(ConfigError, match="takes no UEE"):
-            MCFRModel(full.config.with_ablation("no-uee"), full.params, full.uee)
-        with pytest.raises(ConfigError, match="needs a UEE"):
-            MCFRModel(full.config, full.params, None)
+        with pytest.raises(ConfigError, match=r"parameter set mismatch \(missing \[\], "
+                           r"extra \['uee.0.w', 'uee.1.w'\]\)"):
+            MCFRModel(full.config.with_ablation("no-uee"), full.params)
+        no_uee = {k: v for k, v in full.params.items() if not k.startswith("uee.")}
+        with pytest.raises(ConfigError, match=r"parameter set mismatch \(missing "
+                           r"\['uee.0.w', 'uee.1.w'\], extra \[\]\)"):
+            MCFRModel(full.config, no_uee)
+
+    def test_constructor_checks_shapes_and_keeps_table_order(self):
+        full = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        params = dict(reversed(full.params.items()))
+        assert list(MCFRModel(full.config, params).params) == list(full.params)
+        params["fc5.b"] = np.zeros(3)
+        with pytest.raises(ConfigError,
+                           match=r"shape mismatch for 'fc5.b': \(3,\) != \(8,\)"):
+            MCFRModel(full.config, params)
+
+    def test_uee_is_a_view_of_the_params(self):
+        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        layers = model.uee.layers
+        assert len(layers) == 2
+        for i, layer in enumerate(layers):
+            assert layer.weights is model.params[f"uee.{i}.w"]
+        no_uee = MCFRConfig.tiny().with_ablation("no-uee")
+        assert MCFRModel.initialize(no_uee).uee is None
+
+    @pytest.mark.parametrize("variant", ["full", "no-uee"])
+    def test_loaded_params_follow_the_table(self, tmp_path, variant):
+        config = MCFRConfig.tiny(num_domains=3).with_ablation(variant)
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(config, seed=0), path)
+        assert list(load_checkpoint(path).params) == list(param_shapes(config))
 
     def test_copy_is_independent(self):
         model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
         twin = model.copy()
         assert twin.config == model.config
-        for name, arr in model.all_arrays().items():
-            assert np.array_equal(twin.all_arrays()[name], arr)
+        for name, arr in model.params.items():
+            assert np.array_equal(twin.params[name], arr)
         twin.params["fc4.w"] += 1.0
         twin.uee.layers[0].weights += 1.0
         assert not np.array_equal(twin.params["fc4.w"], model.params["fc4.w"])

@@ -13,7 +13,6 @@ from mcfr.snn import (
     encode_events_to_spikes,
     kernel_u,
     kernel_v,
-    make_uee,
     mean_over_time,
     membrane_drive,
     srm_layer_forward,
@@ -36,6 +35,17 @@ def params(**kw):
     base = dict(tau_s=5.0, tau_r=5.0, phi=1.0, dt=1.0, t_bins=8)
     base.update(kw)
     return SRMParams(**base)
+
+
+def random_uee(channels, seed):
+    """Random frozen 3x3, stride-2 layers, drawn as MCFRModel.initialize
+    draws the event branch: std 1/sqrt(fan-in), one layer after another."""
+    rng = np.random.default_rng(seed)
+    return UeeNetwork(layers=[
+        SRMConvLayer(rng.normal(0.0, 1.0 / np.sqrt(9 * cin), (cout, cin, 3, 3)),
+                     stride=2, padding=1, params=params())
+        for cin, cout in zip(channels, channels[1:])
+    ])
 
 
 class TestKernels:
@@ -83,6 +93,21 @@ class TestSRMParams:
     def test_rejects_coarse_dt(self):
         with pytest.raises(ConfigError):
             params(tau_s=2.0, dt=1.0)  # dt > tau_s/4
+
+    @pytest.mark.parametrize("value", [8.5, 8.0, True, "8", None, 0])
+    def test_rejects_t_bins_that_is_no_positive_integer(self, value):
+        with pytest.raises(ConfigError, match="t_bins must be an integer >= 1"):
+            params(t_bins=value)
+
+    @pytest.mark.parametrize("name", ["tau_s", "tau_r", "phi", "dt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "5", None])
+    def test_rejects_constants_that_are_not_finite_and_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"SRM {name} must be finite and positive"):
+            params(**{name: value})
+
+    def test_accepts_numpy_scalars(self):
+        p = params(t_bins=np.int64(4), tau_s=np.float64(6.0))
+        assert (p.t_bins, p.tau_s) == (4, 6.0)
 
 
 class TestEncode:
@@ -222,7 +247,7 @@ class TestReadout:
         assert np.all(mean_over_time(np.ones((1, 2, 2, 4))) == 1.0)
 
     def test_uee_empty_stream_zero(self):
-        net = make_uee((2, 4, 8), 3, 2, 1, params(), seed=0)
+        net = random_uee((2, 4, 8), seed=0)
         spikes = encode_events_to_spikes(
             EventStream.empty(16, 16), TimeWindow(0, 100), net.layers[0].params
         )
@@ -246,7 +271,7 @@ class TestReadout:
         assert out[0, 0, 0] == pytest.approx(float(expected[0, 0]), abs=1e-12)
 
     def test_output_spatial_adapts(self):
-        net = make_uee((2, 4, 8, 16), 3, 2, 1, params(), seed=1)
+        net = random_uee((2, 4, 8, 16), seed=1)
         rng = np.random.default_rng(3)
         n = 60
         t = np.sort(rng.integers(0, 1000, n))
