@@ -188,12 +188,13 @@ def load_groundtruth(directory) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            x, y, w, h = (float(v) for v in line.split(","))
+            x, y, w, h = box = [float(v) for v in line.split(",")]
+            if not (np.isfinite(box).all() and w > 0 and h > 0):
+                raise ValueError  # reported as the malformed line it is
         except ValueError:
-            raise McfrError(
-                f"{path}: line {lineno}: expected 4 numbers x,y,w,h, got {line!r}"
-            ) from None
-        rows.append((x, y, w, h))
+            raise McfrError(f"{path}: line {lineno}: expected finite x,y and "
+                            f"positive finite w,h, got {line!r}") from None
+        rows.append(box)
     if not rows:
         raise McfrError(f"{path}: expected x,y,w,h rows")
     return np.asarray(rows, dtype=np.float64)

@@ -25,7 +25,9 @@ ReLU, fc6^domain. A layer is a plain tuple: ("conv", name, w_shape,
 stride, pad), ("fc", name, w_shape), ("relu",), ("pool", k, stride),
 ("adapt", hw) or ("flat",). `param_shapes` reads the parameter shapes off
 the tables, `_run` walks a table forward and `_run_backward` walks it in
-reverse, so forward, backward and the checkpoint set cannot disagree.
+reverse, so forward, backward and the checkpoint set cannot disagree. A
+checkpoint holds the config and then those arrays as one f32 run in
+param_shapes order: the config is its table of contents.
 
 Training uses softmax cross-entropy and SGD with per-group learning rates;
 a train step for domain k touches shared parameters and fc6^k only, and
@@ -71,7 +73,7 @@ from .nn import (
 from .snn import SRMConvLayer, SRMParams, UeeNetwork
 
 CHECKPOINT_MAGIC = b"MCFR"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
 
@@ -371,11 +373,6 @@ class MCFRModel:
     event-branch weights `uee.i.w`."""
 
     def __init__(self, config: MCFRConfig, params: dict[str, np.ndarray]):
-        # every fc6 head has two arrays: refuse a domain count the arrays
-        # cannot cover before param_shapes pays for each domain
-        if 2 * config.num_domains > len(params):
-            raise ConfigError(f"parameter set mismatch ({config.num_domains} "
-                              f"domains need more than {len(params)} arrays)")
         expected = param_shapes(config)
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
@@ -634,31 +631,30 @@ def train_step(
 
 def save_checkpoint(model: MCFRModel, path) -> None:
     """magic, u16 version, u32-length-prefixed canonical config JSON, then
-    name/rank/dims/f32-data records sorted by parameter name."""
-    arrays = model.params
+    every array of param_shapes(config), in that order, as one
+    little-endian f32 run with no per-array header: the config fixes each
+    name, shape and the byte count. An array that is not finite in f32
+    raises NonFiniteError before the file is opened."""
+    with np.errstate(over="ignore"):  # an f32 overflow is refused below
+        body = {name: model.params[name].astype("<f4")
+                for name in param_shapes(model.config)}
+    bad = [name for name, arr in body.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise NonFiniteError(f"non-finite f32 values in {bad}")
     blob = model.config.canonical_json().encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for name in sorted(arrays):
-            arr = arrays[name]
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.astype("<f4").tobytes())
+        fh.writelines(arr.tobytes() for arr in body.values())
 
 
 def _decode_config(blob: bytes, path) -> MCFRConfig:
     """The checkpoint's config JSON; any fault in it is a CheckpointError."""
     try:
         return MCFRConfig.from_dict(json.loads(blob.decode("utf-8")))
-    except (McfrError, ValueError, KeyError, TypeError) as exc:
-        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+    except (McfrError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError,
+        # RecursionError a deeply nested value
         raise CheckpointError(
             f"{path}: corrupt config ({type(exc).__name__}: {exc})"
         ) from exc
@@ -667,45 +663,27 @@ def _decode_config(blob: bytes, path) -> MCFRConfig:
 def load_checkpoint(path) -> MCFRModel:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    try:
-        (version,) = struct.unpack_from("<H", data, 4)
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (cfg_len,) = struct.unpack_from("<I", data, 6)
-        config = _decode_config(data[10 : 10 + cfg_len], path)
-        pos = 10 + cfg_len
-        arrays: dict[str, np.ndarray] = {}
-        while pos < len(data):
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            try:
-                name = data[pos : pos + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: parameter name is not UTF-8") from None
-            pos += name_len
-            (rank,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            dims = struct.unpack_from(f"<{rank}I", data, pos)
-            pos += 4 * rank
-            count = math.prod(dims)  # exact; np.prod wraps at 2**63
-            raw = data[pos : pos + 4 * count]
-            if len(raw) != 4 * count:
-                raise CheckpointError(f"{path}: truncated data for {name!r}")
-            pos += 4 * count
-            values = np.frombuffer(raw, dtype="<f4")
-            if not np.isfinite(values).all():
-                raise CheckpointError(f"{path}: non-finite values in {name!r}")
-            try:
-                arrays[name] = values.astype(np.float64).reshape(dims)
-            except ValueError:  # a zero dim beside dims whose product overflows
-                raise CheckpointError(
-                    f"{path}: impossible shape {dims} for {name!r}"
-                ) from None
-    except struct.error as exc:
-        raise CheckpointError(f"{path}: truncated checkpoint ({exc})") from None
-    try:
-        return MCFRModel(config, arrays)
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+    if data[:4] != CHECKPOINT_MAGIC or len(data) < 10:
+        raise CheckpointError(f"{path}: bad magic or truncated header")
+    version, cfg_len = struct.unpack_from("<HI", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    config = _decode_config(data[10 : 10 + cfg_len], path)
+    size = max(0, len(data) - 10 - cfg_len)  # bytes of parameter data
+    # each fc6 head holds at least 4 floats: refuse a domain count the data
+    # cannot cover before param_shapes pays for every domain
+    if size < 16 * config.num_domains:
+        raise CheckpointError(f"{path}: parameter data is {size} bytes, "
+                              f"{config.num_domains} domains need at least "
+                              f"{16 * config.num_domains}")
+    shapes = param_shapes(config)
+    counts = [math.prod(shape) for shape in shapes.values()]
+    if size != 4 * sum(counts):
+        raise CheckpointError(f"{path}: parameter data is {size} bytes, "
+                              f"the config needs {4 * sum(counts)}")
+    values = np.frombuffer(data, dtype="<f4", offset=10 + cfg_len)
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: non-finite parameter values")
+    parts = np.split(values, np.cumsum(counts)[:-1])
+    return MCFRModel(config, {name: part.astype(np.float64).reshape(shape)
+                              for (name, shape), part in zip(shapes.items(), parts)})

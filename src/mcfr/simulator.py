@@ -55,6 +55,8 @@ class ExposureConfig:
         for lo, hi in (self.gain_range_under, self.gain_range_over):
             if lo <= 0 or hi <= 0 or lo > hi:
                 raise ConfigError("gain ranges must be positive with lo <= hi")
+        if self.mode not in ("under", "over", "random"):
+            raise ConfigError(f"unknown exposure mode {self.mode!r}")
 
 
 # Threshold jitter can make a per-pixel threshold arbitrarily small; clamp
@@ -199,6 +201,8 @@ class SceneSpec:
             raise ConfigError("object larger than canvas")
         if self.frame_count < 1:
             raise ConfigError("frame_count must be >= 1")
+        if self.motion not in ("linear", "sine"):
+            raise ConfigError(f"unknown scene motion {self.motion!r}")
 
 
 def gen_synthetic_sequence(

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -467,9 +468,10 @@ class TestCheckpoint:
         save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
         data = path.read_bytes()
         assert data[4:6] == struct.pack("<H", CHECKPOINT_VERSION)
-        path.write_bytes(data[:4] + struct.pack("<H", 1) + data[6:])
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
-            load_checkpoint(path)
+        for old in (1, 2):
+            path.write_bytes(data[:4] + struct.pack("<H", old) + data[6:])
+            with pytest.raises(CheckpointError, match=f"unsupported version {old}"):
+                load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mcfr"
@@ -504,17 +506,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
 
-    def test_impossible_shape_rejected(self, tmp_path):
-        # an empty array whose other dims multiply past the address space
+    @pytest.mark.parametrize("opener", [b"[", b'{"a":'])
+    def test_deeply_nested_config_rejected(self, tmp_path, opener):
+        blob = opener * 100_000
+        path = tmp_path / "model.mcfr"
+        path.write_bytes(b"MCFR" + struct.pack("<HI", CHECKPOINT_VERSION, len(blob))
+                         + blob)
+        with pytest.raises(CheckpointError, match="corrupt config"):
+            load_checkpoint(path)
+
+    def test_f32_overflow_refused_before_the_file_is_opened(self, tmp_path):
+        # 1e39 is finite in float64 but inf in f32: the file would not load
+        model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        model.params["fc4.w"][0, 0] = 1e39
+        path = tmp_path / "model.mcfr"
+        with pytest.raises(NonFiniteError, match=r"\['fc4.w'\]"):
+            save_checkpoint(model, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+    def test_file_is_header_config_and_f32_body(self, tmp_path, variant):
+        config = MCFRConfig.tiny(num_domains=2).with_ablation(variant)
+        model = MCFRModel.initialize(config, seed=0)
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(model, path)
+        counts = sum(math.prod(shape) for shape in param_shapes(config).values())
+        assert path.stat().st_size == 10 + len(config.canonical_json()) + 4 * counts
+        loaded = load_checkpoint(path)
+        for name, arr in model.params.items():
+            expect = arr.astype("<f4").astype(np.float64)
+            assert loaded.params[name].tobytes() == expect.tobytes(), name
+
+    def test_extra_body_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.mcfr"
         save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
-        data = path.read_bytes()
-        record = b"\x07\x00cfe.0.b\x01\x04\x00\x00\x00"
-        assert record in data
-        huge = struct.pack("<4I", 0, 2**31, 2**31, 2**31)
-        bad = record[:9] + b"\x05" + record[10:] + huge
-        path.write_bytes(data.replace(record, bad, 1))
-        with pytest.raises(CheckpointError, match="impossible shape"):
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointError, match="parameter data"):
             load_checkpoint(path)
 
     def test_swapped_config_rejected_before_allocation(self, tmp_path):
@@ -529,24 +556,12 @@ class TestCheckpoint:
                          + data[10 + cfg_len :])
         tracemalloc.start()
         try:
-            with pytest.raises(CheckpointError, match="parameter set mismatch"):
+            with pytest.raises(CheckpointError, match="parameter data"):
                 load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-    def test_wrong_shape_record_rejected(self, tmp_path):
-        path = tmp_path / "model.mcfr"
-        save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
-        data = path.read_bytes()
-        # cfe.0.b holds 4 values; claim (2, 2) instead of (4,)
-        record = b"\x07\x00cfe.0.b\x01\x04\x00\x00\x00"
-        assert record in data
-        bad = record[:9] + b"\x02" + struct.pack("<2I", 2, 2)
-        path.write_bytes(data.replace(record, bad, 1))
-        with pytest.raises(CheckpointError, match=r"shape mismatch for 'cfe.0.b'"):
-            load_checkpoint(path)
 
     def test_huge_domain_count_rejected_before_the_table(self, tmp_path):
         # the claimed domain count must not set the cost of refusing the file
@@ -561,7 +576,7 @@ class TestCheckpoint:
                          + data[10 + cfg_len :])
         tracemalloc.start()
         try:
-            with pytest.raises(CheckpointError, match="parameter set mismatch"):
+            with pytest.raises(CheckpointError, match="parameter data"):
                 load_checkpoint(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -160,6 +160,10 @@ class TestPerturbExposure:
         for fa, fb in zip(a.frames, b.frames):
             assert np.array_equal(fa, fb)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown exposure mode 'bright'"):
+            ExposureConfig(mode="bright")
+
 
 class TestSyntheticScene:
     def test_linear_motion_groundtruth(self):
@@ -188,6 +192,10 @@ class TestSyntheticScene:
         for i in range(30):
             expect = int(round(y0 + 10.0 * np.sin(2.0 * np.pi * i / 30.0)))
             assert boxes[i, 1] == expect
+
+    def test_unknown_motion_rejected(self):
+        with pytest.raises(ConfigError, match="unknown scene motion 'fast'"):
+            SceneSpec(motion="fast")
 
     def test_object_larger_than_canvas_rejected(self):
         with pytest.raises(ConfigError):
@@ -253,6 +261,14 @@ class TestSequenceLoaderFaults:
     def test_groundtruth_named_fault(self, seq_dir, text, line):
         (seq_dir / "groundtruth.txt").write_text(text)
         with pytest.raises(McfrError, match=f"groundtruth.txt: line {line}:"):
+            load_groundtruth(seq_dir)
+
+    @pytest.mark.parametrize("row", [
+        "nan,1,2,3", "1,inf,2,3", "1,2,-4,inf", "1,2,0,3", "1,2,3,-0.5",
+    ])
+    def test_groundtruth_box_must_be_finite_and_positive(self, seq_dir, row):
+        (seq_dir / "groundtruth.txt").write_text(f"1,2,3,4\n{row}\n")
+        with pytest.raises(McfrError, match="groundtruth.txt: line 2:"):
             load_groundtruth(seq_dir)
 
     def test_groundtruth_round_trip(self, seq_dir):
