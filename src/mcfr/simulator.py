@@ -1,11 +1,12 @@
 """Event synthesis from frame sequences, exposure perturbation, and toy scenes.
 
 The contrast-threshold model: every pixel keeps a reference log intensity.
-Between consecutive frames the log intensity moves linearly; each time the
-distance from the reference crosses the positive (upward) or negative
-(downward) threshold, an event is emitted at the interpolated crossing time
-and the reference advances by one threshold step. Because the per-pair path
-is linear, a pixel emits only one polarity per frame pair.
+Between consecutive frames the log intensity moves linearly, so within a
+frame pair a pixel crosses one way only and has one signed threshold: +c_pos
+upward, -c_neg downward. Each crossing emits an event of that sign at the
+interpolated crossing time and advances the reference by one signed step.
+Per-pixel state is kept raveled; an event is its flat pixel index, repeated
+once per crossing, and its position, threshold and gaps are gathered by it.
 
 Events are always synthesized from the clean frames; exposure perturbation
 is applied to the frames afterwards, so the event stream keeps edges that
@@ -20,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 from .events import EventStream
 from .frames import FrameSequence, to_luminance
 
@@ -35,12 +36,13 @@ class SimConfig:
     threshold_noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.c_pos <= 0 or self.c_neg <= 0:
-            raise ConfigError("contrast thresholds must be positive")
-        if self.log_eps <= 0:
-            raise ConfigError("log_eps must be positive")
-        if self.threshold_noise_std < 0:
-            raise ConfigError("threshold_noise_std must be >= 0")
+        # a chained comparison is False for NaN, so each check refuses it too
+        if not (0 < self.c_pos < math.inf and 0 < self.c_neg < math.inf):
+            raise ConfigError("contrast thresholds must be positive and finite")
+        if not 0 < self.log_eps < math.inf:
+            raise ConfigError("log_eps must be positive and finite")
+        if not 0 <= self.threshold_noise_std < math.inf:
+            raise ConfigError("threshold_noise_std must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class ExposureConfig:
 
     def __post_init__(self):
         for lo, hi in (self.gain_range_under, self.gain_range_over):
-            if lo <= 0 or hi <= 0 or lo > hi:
-                raise ConfigError("gain ranges must be positive with lo <= hi")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigError("gain ranges must be positive and finite with lo <= hi")
         if self.mode not in ("under", "over", "random"):
             raise ConfigError(f"unknown exposure mode {self.mode!r}")
 
@@ -75,85 +77,43 @@ def frames_to_events(fs: FrameSequence, cfg: SimConfig, seed: int = 0) -> EventS
         raise ConfigError("need at least 2 frames to simulate events")
     rng = np.random.default_rng(seed)
     h, w = fs.height, fs.width
-
-    c_pos = np.full((h, w), cfg.c_pos)
-    c_neg = np.full((h, w), cfg.c_neg)
+    c_pos, c_neg = cfg.c_pos, cfg.c_neg
     if cfg.threshold_noise_std > 0:
-        c_pos = np.maximum(
-            c_pos + rng.normal(0.0, cfg.threshold_noise_std, (h, w)), _MIN_THRESHOLD
-        )
-        c_neg = np.maximum(
-            c_neg + rng.normal(0.0, cfg.threshold_noise_std, (h, w)), _MIN_THRESHOLD
-        )
+        std = cfg.threshold_noise_std
+        c_pos = np.maximum(c_pos + rng.normal(0.0, std, h * w), _MIN_THRESHOLD)
+        c_neg = np.maximum(c_neg + rng.normal(0.0, std, h * w), _MIN_THRESHOLD)
 
-    log_frames = [np.log(to_luminance(f) + cfg.log_eps) for f in fs.frames]
-    ref = log_frames[0].copy()
-
-    ys_grid, xs_grid = np.mgrid[0:h, 0:w]
-    chunks_t: list[np.ndarray] = []
-    chunks_x: list[np.ndarray] = []
-    chunks_y: list[np.ndarray] = []
-    chunks_p: list[np.ndarray] = []
-
+    # per-pixel state is raveled; an event's flat pixel index `at` gathers the rest
+    log_frames = [np.log(to_luminance(f) + cfg.log_eps).ravel() for f in fs.frames]
+    ref = log_frames[0]
+    chunks = []
     for i in range(len(fs) - 1):
         ta, tb = fs.timestamps[i], fs.timestamps[i + 1]
         l0, l1 = log_frames[i], log_frames[i + 1]
         d = l1 - ref
-        # crossing counts per pixel; epsilon keeps exact multiples stable
-        n_pos = np.where(d > 0, np.floor(d / c_pos + 1e-9), 0).astype(np.int64)
-        n_neg = np.where(d < 0, np.floor(-d / c_neg + 1e-9), 0).astype(np.int64)
-        n_any = n_pos + n_neg  # disjoint: linear path has one direction
-        total = int(n_any.sum())
-        if total:
-            mask = n_any > 0
-            counts = n_any[mask]
-            px = np.repeat(xs_grid[mask], counts)
-            py = np.repeat(ys_grid[mask], counts)
-            pol = np.repeat(np.where(n_pos[mask] > 0, 1, -1).astype(np.int8), counts)
-            thr = np.repeat(
-                np.where(n_pos[mask] > 0, c_pos[mask], c_neg[mask]), counts
-            )
-            # k-th crossing level sits (k+1) thresholds from the reference
-            k = _ranges(counts)
-            level_gap = (k + 1.0) * thr
-            span = np.repeat((l1 - l0)[mask], counts)
-            start_gap = np.repeat((ref - l0)[mask], counts)
-            signed_gap = np.repeat(
-                np.where(n_pos[mask] > 0, 1.0, -1.0), counts
-            ) * level_gap + start_gap
-            # span == 0 with events pending is float-fuzz territory; pin to
-            # the end of the interval rather than dividing by zero
-            safe_span = np.where(span == 0.0, 1.0, span)
-            frac = np.where(span == 0.0, 1.0, signed_gap / safe_span)
-            frac = np.clip(frac, 0.0, 1.0)
-            t_ev = np.clip(
-                np.rint(ta + frac * (tb - ta)).astype(np.int64), ta, tb - 1
-            )
-            order = np.lexsort((pol, px, py, t_ev))
-            chunks_t.append(t_ev[order])
-            chunks_x.append(px[order])
-            chunks_y.append(py[order])
-            chunks_p.append(pol[order])
-        ref = ref + n_pos * c_pos - n_neg * c_neg
-
-    if not chunks_t:
-        return EventStream.empty(w, h)
-    return EventStream(
-        np.concatenate(chunks_t),
-        np.concatenate(chunks_x),
-        np.concatenate(chunks_y),
-        np.concatenate(chunks_p),
-        w,
-        h,
-    )
-
-
-def _ranges(counts: np.ndarray) -> np.ndarray:
-    """[0..c0-1, 0..c1-1, ...] for the per-pixel crossing indices."""
-    total = int(counts.sum())
-    out = np.arange(total, dtype=np.float64)
-    out -= np.repeat(np.cumsum(counts) - counts, counts)
-    return out
+        # the linear path crosses one way, so one signed threshold per pixel;
+        # epsilon keeps exact multiples stable
+        step = np.where(d > 0, c_pos, -c_neg)
+        n = np.floor(d / step + 1e-9).astype(np.int64)
+        fired = np.flatnonzero(n)
+        at = np.repeat(fired, n[fired])
+        # at is sorted, so an event's k is its distance from its pixel's first
+        # copy; the k-th crossing level sits (k+1) thresholds from the reference
+        k = np.arange(at.size) - np.searchsorted(at, at)
+        signed = step[at]
+        gap = (k + 1.0) * signed + (ref - l0)[at]
+        span = (l1 - l0)[at]
+        # span == 0 with events pending is float-fuzz territory; pin to
+        # the end of the interval rather than dividing by zero
+        frac = np.divide(gap, span, out=np.ones_like(gap), where=span != 0)
+        frac = np.clip(frac, 0.0, 1.0)
+        t = np.clip(np.rint(ta + frac * (tb - ta)).astype(np.int64), ta, tb - 1)
+        y, x = np.divmod(at, w)
+        p = np.sign(signed).astype(np.int8)
+        order = np.lexsort((p, x, y, t))
+        chunks.append((t[order], x[order], y[order], p[order]))
+        ref = ref + n * step
+    return EventStream(*(np.concatenate(c) for c in zip(*chunks)), w, h)
 
 
 def perturb_exposure(
@@ -163,14 +123,9 @@ def perturb_exposure(
     rng = np.random.default_rng(seed)
     out = []
     for frame in fs.frames:
-        if cfg.mode == "under":
-            lo, hi = cfg.gain_range_under
-        elif cfg.mode == "over":
-            lo, hi = cfg.gain_range_over
-        else:
-            lo, hi = (
-                cfg.gain_range_under if rng.random() < 0.5 else cfg.gain_range_over
-            )
+        # "random" draws a coin per frame; the fixed modes draw nothing for it
+        under = cfg.mode == "under" or cfg.mode == "random" and rng.random() < 0.5
+        lo, hi = cfg.gain_range_under if under else cfg.gain_range_over
         gain = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         scaled = np.clip(np.rint(frame.astype(np.float64) * gain), 0, 255)
         out.append(scaled.astype(np.uint8))
@@ -197,10 +152,15 @@ class SceneSpec:
     background_value: int = 40
 
     def __post_init__(self):
-        if self.object_w > self.width or self.object_h > self.height:
-            raise ConfigError("object larger than canvas")
-        if self.frame_count < 1:
-            raise ConfigError("frame_count must be >= 1")
+        if not (1 <= self.object_w <= self.width and 1 <= self.object_h <= self.height):
+            raise ConfigError("object sides must be at least 1 and fit the canvas")
+        if self.frame_count < 1 or self.frame_interval_us < 1:
+            raise ConfigError("frame_count and frame_interval_us must be >= 1")
+        if not all(0 <= v <= 255 for v in (self.object_value, self.background_value)):
+            raise ConfigError("object and background values must be in 0..255")
+        if not (all(map(math.isfinite, (*self.velocity, self.amplitude, self.drift)))
+                and 0 < self.period < math.inf):
+            raise ConfigError("motion parameters must be finite, the period positive")
         if self.motion not in ("linear", "sine"):
             raise ConfigError(f"unknown scene motion {self.motion!r}")
 

@@ -2,8 +2,9 @@
 
 For a time window W, the count grid holds the number of events per pixel
 and polarity inside W, and the timestamp grid holds the most recent event
-time per pixel and polarity (0 where no event fell). Everything here is a
-pure function of immutable inputs.
+time per pixel and polarity (0 where no event fell). Both come from one
+pass: every event gets a cell index (polarity plane, row, column) into a
+(2, H, W) grid. Everything here is a pure function of immutable inputs.
 
 Binary dump format: magic "MCST", u32 width, u32
 height (each at most events.MAX_SENSOR_SIDE), u64 t0, u64 t1
@@ -42,21 +43,13 @@ def stack_events(stream: EventStream, window: TimeWindow) -> StackedFrame:
     """Count and latest-timestamp grids for the events inside the window."""
     sub = slice_window(stream, window)
     h, w = stream.height, stream.width
-    c_pos = np.zeros((h, w), dtype=np.int64)
-    c_neg = np.zeros((h, w), dtype=np.int64)
-    t_pos = np.zeros((h, w), dtype=np.int64)
-    t_neg = np.zeros((h, w), dtype=np.int64)
-    pos = sub.p == 1
-    neg = ~pos
-    np.add.at(c_pos, (sub.y[pos], sub.x[pos]), 1)
-    np.add.at(c_neg, (sub.y[neg], sub.x[neg]), 1)
-    # timestamps are >= 0, so max against the 0 fill is safe
-    np.maximum.at(t_pos, (sub.y[pos], sub.x[pos]), sub.t[pos])
-    np.maximum.at(t_neg, (sub.y[neg], sub.x[neg]), sub.t[neg])
-    return StackedFrame(
-        c_pos=c_pos, c_neg=c_neg, t_pos=t_pos, t_neg=t_neg,
-        window=window, width=w, height=h,
-    )
+    # one cell per (polarity, pixel); negative events land in the second plane
+    cell = (sub.p != 1) * (h * w) + sub.y.astype(np.intp) * w + sub.x
+    counts = np.bincount(cell, minlength=2 * h * w).reshape(2, h, w)
+    latest = np.zeros((2, h, w), dtype=np.int64)
+    # timestamps are >= 0, so max against the 0 fill is safe; ravel is a view
+    np.maximum.at(latest.ravel(), cell, sub.t)
+    return StackedFrame(*counts, *latest, window, w, h)
 
 
 def normalize_stacked(f: StackedFrame) -> np.ndarray:

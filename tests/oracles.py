@@ -5,6 +5,8 @@ boxes, frames and layer cells, or the seed's own code kept as it was
 written. Keep it that way.
 """
 
+import math
+
 import numpy as np
 
 
@@ -25,6 +27,70 @@ def stack_oracle(stream, window):
             c_neg[ev.y, ev.x] += 1
             t_neg[ev.y, ev.x] = max(t_neg[ev.y, ev.x], ev.t)
     return c_pos, c_neg, t_pos, t_neg
+
+
+def frames_to_events_oracle(fs, cfg, seed=0):
+    """The threshold-crossing camera one pixel and one crossing at a time.
+
+    The log frames and the threshold noise come from the library's own numpy
+    calls, so the loops below start from the same doubles; the rest is plain
+    Python floats. Returns (t, x, y, p) lists, each frame pair's events
+    sorted by (t, y, x, p).
+    """
+    from mcfr.frames import to_luminance
+
+    rng = np.random.default_rng(seed)
+    n_pix, w = fs.height * fs.width, fs.width
+    c_pos, c_neg = [cfg.c_pos] * n_pix, [cfg.c_neg] * n_pix
+    if cfg.threshold_noise_std > 0:
+        # the library draws the c_pos jitter first and clamps at 0.01
+        c_pos = [max(c + v, 0.01) for c, v in
+                 zip(c_pos, rng.normal(0.0, cfg.threshold_noise_std, n_pix).tolist())]
+        c_neg = [max(c + v, 0.01) for c, v in
+                 zip(c_neg, rng.normal(0.0, cfg.threshold_noise_std, n_pix).tolist())]
+    logs = [np.log(to_luminance(f) + cfg.log_eps).ravel().tolist() for f in fs.frames]
+    ref = list(logs[0])
+    events = []
+    for i in range(len(fs) - 1):
+        ta, tb = fs.timestamps[i], fs.timestamps[i + 1]
+        l0, l1 = logs[i], logs[i + 1]
+        pair = []
+        for j in range(n_pix):
+            d = l1[j] - ref[j]
+            if d > 0:
+                sign, thr, n = 1, c_pos[j], math.floor(d / c_pos[j] + 1e-9)
+            else:
+                sign, thr, n = -1, c_neg[j], math.floor(-d / c_neg[j] + 1e-9)
+            for k in range(n):
+                # the k-th crossing sits k+1 thresholds past the reference
+                gap = sign * ((k + 1) * thr) + (ref[j] - l0[j])
+                span = l1[j] - l0[j]
+                frac = 1.0 if span == 0 else min(max(gap / span, 0.0), 1.0)
+                t = min(max(round(ta + frac * (tb - ta)), ta), tb - 1)
+                pair.append((t, j // w, j % w, sign))
+            ref[j] = ref[j] + sign * (n * thr)
+        events += sorted(pair)
+    t, y, x, p = (list(col) for col in zip(*events)) if events else ([],) * 4
+    return t, x, y, p
+
+
+def perturb_exposure_oracle(fs, cfg, seed=0):
+    """perturb_exposure's frames with the gain range picked by the seed's
+    three-way branch."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for frame in fs.frames:
+        if cfg.mode == "under":
+            lo, hi = cfg.gain_range_under
+        elif cfg.mode == "over":
+            lo, hi = cfg.gain_range_over
+        else:
+            lo, hi = (
+                cfg.gain_range_under if rng.random() < 0.5 else cfg.gain_range_over
+            )
+        gain = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        out.append(np.clip(np.rint(frame.astype(np.float64) * gain), 0, 255).astype(np.uint8))
+    return out
 
 
 def iou_raster_oracle(a, b, scale=100):

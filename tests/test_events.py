@@ -139,6 +139,20 @@ class TestFileIO:
             load_events(path, geometry=(8, 8))
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", [b"1_0,1,2,1", b"+20,3,4,-1", b"10,1,2,+1", b"10,1_1,2,1"])
+    def test_non_decimal_field_rejected(self, tmp_path, line):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"5,0,0,1\n" + line + b"\n")
+        with pytest.raises(EventParseError, match="non-decimal") as exc:
+            load_events(path, geometry=(8, 8))
+        assert exc.value.line == 2
+
+    def test_non_decimal_sidecar_is_a_plain_comment(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("# 1_0,1_0\n# +6,+6\n10,1,2,1\n20,3,4,-1\n")
+        s = load_events(path)
+        assert (s.width, s.height) == (4, 5)  # inferred from the events
+
     @pytest.mark.parametrize("line", [b"99999999999999999999,1,1,1", b"1,3000000000,1,1"])
     def test_out_of_range_field_rejected(self, tmp_path, line):
         path = tmp_path / "ev.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from mcfr.simulator import (
     perturb_exposure,
 )
 
+from .oracles import frames_to_events_oracle, perturb_exposure_oracle
 from .strategies import corrupted
 
 
@@ -132,6 +135,39 @@ class TestFramesToEvents:
         assert len(c) != len(a) or not np.array_equal(a.t, c.t) or a == c
 
 
+@st.composite
+def small_sequences(draw):
+    """2-4 random uint8 frames, gray or color, up to 4x4, at random intervals."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    n = draw(st.integers(2, 4))
+    frames = tuple(
+        np.array(draw(st.lists(st.integers(0, 255), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape)))), dtype=np.uint8).reshape(shape)
+        for _ in range(n)
+    )
+    gaps = draw(st.lists(st.integers(1, 5000), min_size=n - 1, max_size=n - 1))
+    return FrameSequence(frames=frames, timestamps=tuple(np.cumsum([0, *gaps]).tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seq=small_sequences(),
+    c_pos=st.sampled_from([0.05, 0.15, 0.3]),
+    c_neg=st.sampled_from([0.05, 0.15, 0.3]),
+    noise=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**16),
+)
+def test_frames_to_events_matches_scalar_oracle(seq, c_pos, c_neg, noise, seed):
+    cfg = SimConfig(c_pos=c_pos, c_neg=c_neg, threshold_noise_std=noise)
+    stream = frames_to_events(seq, cfg, seed)
+    t, x, y, p = frames_to_events_oracle(seq, cfg, seed)
+    assert stream.t.tolist() == t
+    assert stream.x.tolist() == x
+    assert stream.y.tolist() == y
+    assert stream.p.tolist() == p
+
+
 class TestPerturbExposure:
     def test_identity_gain(self):
         seq = seq_from_values([100, 200])
@@ -163,6 +199,37 @@ class TestPerturbExposure:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown exposure mode 'bright'"):
             ExposureConfig(mode="bright")
+
+    @pytest.mark.parametrize("mode", ["under", "over", "random"])
+    def test_matches_three_way_branch(self, mode):
+        seq = seq_from_values([0, 60, 120, 180, 255, 7, 99, 200])
+        cfg = ExposureConfig(mode=mode)
+        for seed in range(6):
+            got = perturb_exposure(seq, cfg, seed).frames
+            for a, b in zip(got, perturb_exposure_oracle(seq, cfg, seed), strict=True):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (SceneSpec, dict(motion="sine", period=0)),
+    (SceneSpec, dict(frame_interval_us=0)),
+    (SceneSpec, dict(object_w=0)),
+    (SceneSpec, dict(object_h=0)),
+    (SceneSpec, dict(object_value=300)),
+    (SceneSpec, dict(background_value=-1)),
+    (SceneSpec, dict(velocity=(math.nan, 0.0))),
+    (SceneSpec, dict(motion="sine", amplitude=math.inf)),
+    (SceneSpec, dict(motion="sine", drift=math.nan)),
+    (SimConfig, dict(c_pos=math.nan)),
+    (SimConfig, dict(c_pos=math.inf, c_neg=math.inf)),
+    (SimConfig, dict(threshold_noise_std=math.nan)),
+    (SimConfig, dict(log_eps=math.nan)),
+    (ExposureConfig, dict(gain_range_over=(2.0, math.nan))),
+    (ExposureConfig, dict(gain_range_under=(0.1, math.inf))),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_config_that_cannot_be_simulated_rejected(cls, kwargs):
+    with pytest.raises(ConfigError):
+        cls(**kwargs)
 
 
 class TestSyntheticScene:
