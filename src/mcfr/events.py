@@ -12,22 +12,55 @@ MAX_SENSOR_SIDE). Every data line is "t,x,y,p", t non-decreasing. In both,
 a field is a decimal integer: an optional leading "-" and ASCII digits,
 with blanks around it ignored; a "+" sign or "_" digit separators are
 refused.
+
+Reading takes one of two paths to the same result. The fast path reads the
+leading "#" lines, then the rest of the file in blocks of whole lines. A
+block must hold only "0123456789,-" and newlines, which rules out blanks,
+"+", "_", "#", carriage returns and non-ASCII bytes, and no field longer
+than _FIELD_MAX bytes; np.loadtxt then parses it as int64 in one call. Any
+other file, and any file the fast path cannot load, goes to the line
+parser, which alone names the line of an error and accepts the grammar
+above in full. Within
+the fast path's alphabet both accept and refuse the same fields, so a file
+loads to the same stream, or fails with the same error, on either path.
+Writing formats bounded chunks of events in one call each.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EventParseError, GeometryError
+from .errors import EventParseError, GeometryError, McfrError
 
 # Largest sensor side accepted, in pixels. Real event cameras stay well
 # below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
 # a (height, width) grid built from a stream to 4096^2 cells.
 MAX_SENSOR_SIDE = 4096
+
+# The bytes a data line may hold on the fast read path.
+_PLAIN = b"0123456789,-\n"
+# Bytes read, checked and parsed at a time on the fast path; with the
+# records of one block, it bounds what the reader holds beside the stream.
+_BLOCK = 1 << 20
+# The longest field the fast path parses. No integer of 18 characters is out
+# of the int64 range, so np.loadtxt parses every such field exactly: older
+# NumPy releases parse an integer past its dtype as a float and cast it with
+# only a DeprecationWarning. The cap also keeps every field far below int()'s
+# digit limit. A longer field, a 19-digit t or leading zeros, goes to the
+# line parser.
+_FIELD_MAX = 18
+# The longest line of four such fields: a longer part line is not buffered.
+_LINE_MAX = 4 * _FIELD_MAX + 3
+# The dtype of each column, in file order.
+_COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
+# Events formatted per call when writing: the Python ints of one chunk take
+# a few MB, and the per-call cost is spread over 32k lines.
+_WRITE_CHUNK = 1 << 15
 
 
 class Event(NamedTuple):
@@ -70,10 +103,10 @@ class EventStream:
     __slots__ = ("t", "x", "y", "p", "width", "height")
 
     def __init__(self, t, x, y, p, width: int, height: int):
-        t = np.ascontiguousarray(t, dtype=np.int64)
-        x = np.ascontiguousarray(x, dtype=np.int32)
-        y = np.ascontiguousarray(y, dtype=np.int32)
-        p = np.ascontiguousarray(p, dtype=np.int8)
+        t = _exact("t", t, np.int64)
+        x = _exact("x", x, np.int32)
+        y = _exact("y", y, np.int32)
+        p = _exact("p", p, np.int8)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event field arrays must be 1-D and equal length")
         if not (0 < width <= MAX_SENSOR_SIDE and 0 < height <= MAX_SENSOR_SIDE):
@@ -96,11 +129,21 @@ class EventStream:
                 raise GeometryError(
                     f"event outside {width}x{height} sensor bounds"
                 )
-        for name, arr in (("t", t), ("x", x), ("y", y), ("p", p)):
+        for arr in (t, x, y, p):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "width", int(width))
-        object.__setattr__(self, "height", int(height))
+        self._fill(t, x, y, p, int(width), int(height))
+
+    def _fill(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _slice(self, lo: int, hi: int) -> "EventStream":
+        """Events lo..hi-1 without a second validation: a slice of a valid
+        stream is valid, and a view of a read-only array is read-only."""
+        out = object.__new__(EventStream)
+        out._fill(self.t[lo:hi], self.x[lo:hi], self.y[lo:hi], self.p[lo:hi],
+                  self.width, self.height)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("EventStream is immutable")
@@ -146,10 +189,24 @@ def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:
     """Events with t0 <= t < t1, original order preserved."""
     lo = int(np.searchsorted(stream.t, window.t0, side="left"))
     hi = int(np.searchsorted(stream.t, window.t1, side="left"))
-    return EventStream(
-        stream.t[lo:hi], stream.x[lo:hi], stream.y[lo:hi], stream.p[lo:hi],
-        stream.width, stream.height,
-    )
+    return stream._slice(lo, hi)
+
+
+def _exact(name: str, values, dtype) -> np.ndarray:
+    """values as a contiguous dtype array. EventParseError if the cast would
+    change a value: wrap an integer out of range or drop a fraction."""
+    a = np.asarray(values)
+    if a.dtype == dtype:
+        return np.ascontiguousarray(a)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+            out = a.astype(dtype)
+    except OverflowError:  # a Python int past int64
+        out = None
+    if out is None or not np.array_equal(out, a):
+        raise EventParseError(f"{name} holds a value that is not an integer "
+                              f"in the {np.dtype(dtype)} range")
+    return np.ascontiguousarray(out)
 
 
 def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
@@ -158,6 +215,59 @@ def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
     Geometry comes from the "# width,height" sidecar line, from the
     `geometry` argument, or (failing both) is inferred from the events.
     """
+    try:
+        return _load_plain(Path(path), geometry)
+    except (ValueError, McfrError):  # the line parser names the line at fault
+        return _load_events_lines(path, geometry)
+
+
+def _load_plain(path: Path, geometry) -> EventStream:
+    """The stream of a file whose body holds only _PLAIN bytes. The body is
+    read in blocks, and np.loadtxt parses the whole lines of each. ValueError
+    or McfrError for any file it does not load."""
+    file_geometry = None
+    blocks = []
+    with open(path, "rb") as fh:
+        while (raw := fh.readline()).startswith(b"#"):
+            # text mode would split this line at a carriage return
+            if b"\r" in raw or not raw.isascii():
+                raise ValueError("a header line the line parser reads")
+            file_geometry = _sidecar(raw.decode("ascii").strip()) or file_geometry
+        fh.seek(-len(raw), io.SEEK_CUR)
+        tail = b""
+        while block := fh.read(_BLOCK):
+            if block.translate(None, _PLAIN):
+                raise ValueError("a byte outside the plain alphabet")
+            lines, _, tail = (tail + block).rpartition(b"\n")
+            if len(tail) > _LINE_MAX:
+                raise ValueError(f"a line longer than {_LINE_MAX} bytes")
+            blocks.append(_parse_plain(lines))
+        blocks.append(_parse_plain(tail))
+    t, x, y, p = (np.concatenate(c) for c in zip(*blocks))
+    return _build(t, x, y, p, geometry, file_geometry)
+
+
+def _parse_plain(lines: bytes) -> list[np.ndarray]:
+    """The t, x, y, p columns of a run of whole plain lines. ValueError if a
+    field is longer than _FIELD_MAX bytes or np.loadtxt refuses a line, and
+    EventParseError if a value is out of its column's range."""
+    b = np.frombuffer(lines, np.uint8)
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    if np.diff(seps, prepend=-1, append=len(lines)).max() > _FIELD_MAX + 1:
+        raise ValueError(f"a field longer than {_FIELD_MAX} bytes")
+    if lines.strip(b"\n"):
+        rows = np.loadtxt(io.BytesIO(lines), delimiter=",", dtype=np.int64,
+                          comments=None, ndmin=2)
+    else:  # blank lines only: np.loadtxt would warn
+        rows = np.empty((0, 4), np.int64)
+    if rows.shape[1] != 4:
+        raise ValueError(f"{rows.shape[1]} fields, not 4")
+    return [_exact(name, rows[:, i], dtype) for i, (name, dtype) in enumerate(_COLUMNS)]
+
+
+def _load_events_lines(path, geometry: tuple[int, int] | None) -> EventStream:
+    """load_events one line at a time: the reference grammar, and the only
+    path that names the line of an error."""
     path = Path(path)
     ts: list[int] = []
     xs: list[int] = []
@@ -175,9 +285,7 @@ def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
             if not line:
                 continue
             if line.startswith("#"):
-                fields = _decimal_fields(line[1:])
-                if fields is not None and len(fields) == 2:
-                    file_geometry = tuple(fields)
+                file_geometry = _sidecar(line) or file_geometry
                 continue
             fields = _decimal_fields(line)
             if fields is None:
@@ -198,17 +306,17 @@ def load_events(path, geometry: tuple[int, int] | None = None) -> EventStream:
             xs.append(x)
             ys.append(y)
             ps.append(p)
+    return _build(ts, xs, ys, ps, geometry, file_geometry)
+
+
+def _build(t, x, y, p, geometry, file_geometry) -> EventStream:
+    """The stream of parsed columns. Geometry is the argument, else the
+    sidecar's, else one past the largest x and y."""
     if geometry is None:
         geometry = file_geometry
     if geometry is None:
-        width = max(xs, default=0) + 1
-        height = max(ys, default=0) + 1
-        geometry = (width, height)
-    try:
-        return EventStream(ts, xs, ys, ps, geometry[0], geometry[1])
-    except OverflowError:
-        raise EventParseError("a field exceeds the int64 range of t or the "
-                              "int32 range of x and y") from None
+        geometry = tuple(int(np.max(c)) + 1 if len(c) else 1 for c in (x, y))
+    return EventStream(t, x, y, p, geometry[0], geometry[1])
 
 
 def save_events(stream: EventStream, path) -> None:
@@ -217,8 +325,16 @@ def save_events(stream: EventStream, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# t_us,x,y,p\n")
         fh.write(f"# {stream.width},{stream.height}\n")
-        cols = [c.tolist() for c in (stream.t, stream.x, stream.y, stream.p)]
-        fh.writelines(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols))
+        cols = (stream.t, stream.x, stream.y, stream.p)
+        for i in range(0, len(stream), _WRITE_CHUNK):
+            rows = np.stack([c[i:i + _WRITE_CHUNK] for c in cols], axis=1)
+            fh.write(("%d,%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def _sidecar(comment: str) -> tuple[int, int] | None:
+    """(width, height) if a stripped "#" line holds two decimal integers."""
+    fields = _decimal_fields(comment[1:])
+    return tuple(fields) if fields is not None and len(fields) == 2 else None
 
 
 def _decimal_fields(text: str) -> list[int] | None:

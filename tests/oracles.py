@@ -148,6 +148,15 @@ def random_stream(rng, n, width, height, t_max):
     )
 
 
+def save_events_oracle(stream, path) -> None:
+    """events.save_events as the seed wrote it: one f-string per event."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# t_us,x,y,p\n")
+        fh.write(f"# {stream.width},{stream.height}\n")
+        cols = [c.tolist() for c in (stream.t, stream.x, stream.y, stream.p)]
+        fh.writelines(f"{t},{x},{y},{p}\n" for t, x, y, p in zip(*cols))
+
+
 # -- the event branch as the seed wrote it ---------------------------------
 # Loop versions of the SRM layer and the padded im2col. The library keeps
 # the same arithmetic in a time-major layout; tests require equal bits.
