@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer rule every checked field uses."""
+
+import numbers
 
 
 class McfrError(Exception):
@@ -33,3 +35,13 @@ class CheckpointError(McfrError):
 
 class SamplingError(McfrError):
     """A sample quota could not be met within the attempt budget."""
+
+
+def require_int(name: str, value, minimum: int | None = None,
+                error: type[Exception] = ConfigError) -> None:
+    """Raise `error` unless value is a Python or numpy integer (a bool is
+    not one) and, when minimum is given, at least minimum."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")

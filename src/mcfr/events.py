@@ -11,7 +11,9 @@ File format: optional comment lines starting with "#". The line
 MAX_SENSOR_SIDE). Every data line is "t,x,y,p", t non-decreasing. In both,
 a field is a decimal integer: an optional leading "-" and ASCII digits,
 with blanks around it ignored; a "+" sign or "_" digit separators are
-refused.
+refused. Leading zeros do not count, and a field of more than _DIGITS_MAX
+significant digits reads as +-10**_DIGITS_MAX, past every range the format
+accepts, so int()'s own digit limit never decides the outcome.
 
 Reading takes one of two paths to the same result. The fast path reads the
 leading "#" lines, then the rest of the file in blocks of whole lines. A
@@ -35,7 +37,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EventParseError, GeometryError, McfrError
+from .errors import EventParseError, GeometryError, McfrError, require_int
 
 # Largest sensor side accepted, in pixels. Real event cameras stay well
 # below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
@@ -58,6 +60,8 @@ _FIELD_MAX = 18
 _LINE_MAX = 4 * _FIELD_MAX + 3
 # The dtype of each column, in file order.
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
+_DIGITS_MAX = 20  # significant digits read; a longer field saturates
+_BLANKS = " \t\n\v\f\r"  # what int() strips; str.strip() strips more
 # Events formatted per call when writing: the Python ints of one chunk take
 # a few MB, and the per-call cost is spread over 32k lines.
 _WRITE_CHUNK = 1 << 15
@@ -109,6 +113,8 @@ class EventStream:
         p = _exact("p", p, np.int8)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event field arrays must be 1-D and equal length")
+        require_int("sensor width", width, error=GeometryError)
+        require_int("sensor height", height, error=GeometryError)
         if not (0 < width <= MAX_SENSOR_SIDE and 0 < height <= MAX_SENSOR_SIDE):
             raise GeometryError(
                 f"invalid sensor geometry {width}x{height} "
@@ -339,11 +345,15 @@ def _sidecar(comment: str) -> tuple[int, int] | None:
 
 def _decimal_fields(text: str) -> list[int] | None:
     """The comma-separated fields of an ASCII line as ints, or None if one is
-    not a decimal integer. int() alone also takes a "+" sign and "_" digit
-    separators; two substring tests refuse both at a flat cost per line."""
-    if "_" in text or "+" in text:
-        return None
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        return None
+    not a decimal integer. A field past _DIGITS_MAX significant digits reads
+    as +-10**_DIGITS_MAX, so int() never sees more than that many digits."""
+    fields = []
+    for field in text.split(","):
+        field = field.strip(_BLANKS)
+        digits = field.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        digits = digits.lstrip("0")
+        value = int(digits or "0") if len(digits) <= _DIGITS_MAX else 10**_DIGITS_MAX
+        fields.append(-value if field.startswith("-") else value)
+    return fields

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, McfrError
+from .errors import GeometryError, McfrError, require_int
 from .events import MAX_SENSOR_SIDE
 
 # BT.601 luma weights; the conversion used everywhere color -> gray.
@@ -40,6 +40,8 @@ class FrameSequence:
             if f.shape != shape:
                 raise GeometryError("frames differ in geometry")
         ts = self.timestamps
+        for t in ts:
+            require_int("a timestamp", t, error=ValueError)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("timestamps must be strictly increasing")
 

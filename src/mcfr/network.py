@@ -2,9 +2,10 @@
 multi-domain classification head.
 
 The config names its ablation variant, and ABLATION_VARIANTS lists the
-branches and input channel groups each variant keeps. Every event-branch
-layer has the geometry UEE_KERNEL, UEE_STRIDE, UEE_PADDING and SRMParams'
-time constants; the config sets only its channel widths and time bins.
+branches and input channel groups each variant keeps. The event branch's
+layer geometry and SRM constants are fixed in `snn`; the config sets only
+its channel widths and time bins, and its frozen weights `uee.i.w` are
+arrays of `params` like every other.
 
 Data flow for one sample: the 7-channel assembled input, with the channel
 groups the ablation variant leaves out set to zero, passes through a
@@ -50,6 +51,7 @@ from .errors import (
     GeometryError,
     McfrError,
     NonFiniteError,
+    require_int,
 )
 from .events import MAX_SENSOR_SIDE
 from .nn import (
@@ -70,24 +72,15 @@ from .nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from .snn import SRMConvLayer, SRMParams, UeeNetwork
+from .snn import UEE_KERNEL, SRMParams, UeeNetwork
 
 CHECKPOINT_MAGIC = b"MCFR"
 CHECKPOINT_VERSION = 3
 
-UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-
 
 def _require_ints(spec, names: tuple[str, ...], minimum: int) -> None:
     for name in names:
-        _require_int(f"{type(spec).__name__}.{name}", getattr(spec, name), minimum)
+        require_int(f"{type(spec).__name__}.{name}", getattr(spec, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -109,8 +102,7 @@ class ConvBlockSpec:
 @dataclass(frozen=True)
 class SRMNetSpec:
     """Event-branch layout: (in, hidden..., out) channels and the number of
-    time bins of the spike encoding. The layer geometry (UEE_KERNEL,
-    UEE_STRIDE, UEE_PADDING) and the SRM time constants are fixed."""
+    time bins of the spike encoding; `snn` fixes everything else."""
 
     channels: tuple[int, ...] = (2, 16, 32, 64)
     t_bins: int = 32
@@ -119,8 +111,8 @@ class SRMNetSpec:
         if len(self.channels) < 2:
             raise ConfigError("SRMNetSpec needs input and output channel counts")
         for c in self.channels:
-            _require_int("SRMNetSpec.channels", c, 1)
-        self.srm_params()  # checks t_bins
+            require_int("SRMNetSpec.channels", c, 1)
+        _require_ints(self, ("t_bins",), 1)
 
     def srm_params(self) -> SRMParams:
         return SRMParams(t_bins=self.t_bins)
@@ -208,7 +200,7 @@ class MCFRConfig:
         if len(self.fc_dims) != 2:
             raise ConfigError("fc_dims holds the fc4 and fc5 widths")
         for d in self.fc_dims:
-            _require_int("MCFRConfig.fc_dims", d, 1)
+            require_int("MCFRConfig.fc_dims", d, 1)
         if len(self.cfe) != 3 or len(self.uer) != 3:
             raise ConfigError("shared and RGB branches take exactly 3 conv blocks")
         if self.uee.channels[0] != 2:
@@ -370,7 +362,7 @@ def _init_array(rng: np.random.Generator, name: str, shape) -> np.ndarray:
 class MCFRModel:
     """A config plus `params`, which holds every array param_shapes(config)
     lists, in that order: the trainable weights and biases and the frozen
-    event-branch weights `uee.i.w`."""
+    event-branch weights `uee.i.w`, which must be finite."""
 
     def __init__(self, config: MCFRConfig, params: dict[str, np.ndarray]):
         expected = param_shapes(config)
@@ -385,6 +377,8 @@ class MCFRModel:
                 raise ConfigError(
                     f"shape mismatch for {name!r}: {params[name].shape} != {shape}"
                 )
+            if name.startswith("uee.") and not np.isfinite(params[name]).all():
+                raise ConfigError(f"non-finite event-branch weights {name!r}")
         self.config = config
         self.params = {name: params[name] for name in expected}
 
@@ -394,11 +388,8 @@ class MCFRModel:
         copies), or None when the variant drops it."""
         if not self.config.ablation.use_uee:
             return None
-        srm = self.config.uee.srm_params()
-        return UeeNetwork(layers=[
-            SRMConvLayer(self.params[f"uee.{i}.w"], UEE_STRIDE, UEE_PADDING, srm)
-            for i in range(len(self.config.uee.channels) - 1)
-        ])
+        return UeeNetwork([self.params[f"uee.{i}.w"]
+                           for i in range(len(self.config.uee.channels) - 1)])
 
     @classmethod
     def initialize(cls, config: MCFRConfig, seed: int = 0) -> "MCFRModel":
@@ -599,6 +590,7 @@ def train_step(
     whole batch. A non-finite loss or gradient raises NonFiniteError and
     leaves the model and the SGD state as they were.
     """
+    require_int("chunk", chunk, 1)
     n = batch.assembled.shape[0]
     if n == 0:
         raise ConfigError("empty training batch")

@@ -13,12 +13,14 @@ relative error, the end-to-end network test to 1e-5.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 
 def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
@@ -257,6 +259,14 @@ class SGDConfig:
     default_lr: float = 1e-4
     momentum: float = 0.9
     weight_decay: float = 5e-4
+
+    def __post_init__(self):
+        # one NaN or inf here turns every parameter it reaches into NaN
+        for name, v in [*((f"lr[{k!r}]", v) for k, v in self.lr.items()),
+                        ("default_lr", self.default_lr),
+                        ("momentum", self.momentum), ("weight_decay", self.weight_decay)]:
+            if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
+                raise ConfigError(f"SGD {name} must be finite and >= 0, got {v!r}")
 
     def rate_for(self, name: str) -> float:
         for prefix, rate in self.lr.items():

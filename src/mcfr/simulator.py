@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .events import EventStream
 from .frames import FrameSequence, to_luminance
 
@@ -152,12 +152,16 @@ class SceneSpec:
     background_value: int = 40
 
     def __post_init__(self):
+        for name in ("width", "height", "object_w", "object_h", "object_value",
+                     "background_value", "frame_count", "frame_interval_us"):
+            require_int(f"SceneSpec.{name}", getattr(self, name),
+                        1 if name.startswith("frame") else None)
         if not (1 <= self.object_w <= self.width and 1 <= self.object_h <= self.height):
             raise ConfigError("object sides must be at least 1 and fit the canvas")
-        if self.frame_count < 1 or self.frame_interval_us < 1:
-            raise ConfigError("frame_count and frame_interval_us must be >= 1")
         if not all(0 <= v <= 255 for v in (self.object_value, self.background_value)):
             raise ConfigError("object and background values must be in 0..255")
+        if len(self.velocity) != 2:
+            raise ConfigError(f"velocity is (dx, dy), got {self.velocity!r}")
         if not (all(map(math.isfinite, (*self.velocity, self.amplitude, self.drift)))
                 and 0 < self.period < math.inf):
             raise ConfigError("motion parameters must be finite, the period positive")

@@ -1,16 +1,19 @@
 """Spike-response-model layers for the event branch.
 
-Discrete-time simulation of SRM neurons: incoming binary spike trains are
+Discrete-time simulation of SRM neurons (the neuron model of SLAYER,
+Shrestha & Orchard, NeurIPS 2018): incoming binary spike trains are
 filtered by the synaptic kernel v, weighted by a spatial convolution, and
 summed with the refractory trace left by the neuron's own past spikes
-(kernel u, which starts at -2*phi and relaxes to 0). A neuron fires when
-its potential reaches the threshold phi; the refractory contribution of a
+(kernel u, which starts at -2*PHI and relaxes to 0). A neuron fires when
+its potential reaches the threshold PHI; the refractory contribution of a
 spike at step k is felt at steps strictly after k.
 
-The final layer of the event extractor emits its membrane drive without
-thresholding; averaging that drive over time gives the branch's feature
-map. The weights are frozen: `network.MCFRModel.initialize` draws them
-once, and no gradient flows into this branch.
+The branch is frozen: `network.MCFRModel.initialize` draws its weights
+once, and no gradient reaches them. Only its widths and time bins vary.
+The neuron constants are fixed below, and a layer is its (out, in,
+UEE_KERNEL, UEE_KERNEL) weight array, convolved at UEE_STRIDE with
+UEE_PADDING zeros. The final layer emits its membrane drive without
+thresholding; the time mean of that drive is the branch's feature map.
 
 Layout: the public functions take and return (C, H, W, T) tensors, time
 last. Inside a spiking layer the convolution runs with time as its batch
@@ -25,37 +28,29 @@ so the result is the same to the bit. The spikes leave as an
 from __future__ import annotations
 
 import functools
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, require_int
 from .events import EventStream, TimeWindow, slice_window
 from .nn import adaptive_avgpool_forward, conv2d_forward
+
+# Synaptic and refractory time constants (ms), firing threshold, and the
+# simulation step (ms). DT <= TAU_S/4 samples the rise of v finely enough.
+TAU_S, TAU_R, PHI, DT = 5.0, 5.0, 1.0, 1.0
+# The geometry of every event-branch layer.
+UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
 
 
 @dataclass(frozen=True)
 class SRMParams:
-    """Kernel time constants (ms), threshold, and simulation grid."""
+    """The number of time bins of the spike encoding."""
 
-    tau_s: float = 5.0
-    tau_r: float = 5.0
-    phi: float = 1.0
-    dt: float = 1.0
     t_bins: int = 32
 
     def __post_init__(self):
-        t = self.t_bins
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-            raise ConfigError(f"t_bins must be an integer >= 1, got {t!r}")
-        for name in ("tau_s", "tau_r", "phi", "dt"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and 0 < v < math.inf):
-                raise ConfigError(f"SRM {name} must be finite and positive, got {v!r}")
-        if self.dt > self.tau_s / 4.0:
-            raise ConfigError("dt must be <= tau_s/4 for sampling adequacy")
+        require_int("t_bins", self.t_bins, 1)
 
 
 def kernel_v(t, tau_s: float):
@@ -98,32 +93,11 @@ def encode_events_to_spikes(
     return spikes
 
 
-@dataclass
-class SRMConvLayer:
-    """Spatial convolution weights plus SRM dynamics parameters."""
-
-    weights: np.ndarray  # (out_ch, in_ch, kh, kw)
-    stride: int
-    padding: int
-    params: SRMParams
-
-    def __post_init__(self):
-        if self.weights.ndim != 4:
-            raise ConfigError("SRM conv weights must be 4-D")
-        if self.weights.shape[2] % 2 == 0 or self.weights.shape[3] % 2 == 0:
-            raise ConfigError("kernel sizes must be odd")
-        if not np.all(np.isfinite(self.weights)):
-            raise ConfigError("non-finite SRM weights")
-
-
 @functools.lru_cache(maxsize=16)
-def _synaptic_matrix(t: int, params: SRMParams) -> np.ndarray:
-    """Read-only lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*dt).
-
-    It depends only on (T, params), and SRMParams is frozen, so every
-    call with the same pair shares one array.
-    """
-    taps = kernel_v(np.arange(t) * params.dt, params.tau_s)
+def _synaptic_matrix(t: int) -> np.ndarray:
+    """Read-only lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*DT),
+    built once per T and shared by every call."""
+    taps = kernel_v(np.arange(t) * DT, TAU_S)
     lag = np.arange(t)[:, None] - np.arange(t)
     mat = np.where(lag >= 0, taps[lag], 0.0)
     mat.setflags(write=False)
@@ -131,48 +105,45 @@ def _synaptic_matrix(t: int, params: SRMParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _refractory_tail(t: int, params: SRMParams) -> np.ndarray:
-    """Read-only (T-1, 1) column of u(k*dt) for k = 1..T-1."""
-    tail = kernel_u(np.arange(1, t) * params.dt, params.tau_r, params.phi)
+def _refractory_tail(t: int) -> np.ndarray:
+    """Read-only (T-1, 1) column of u(k*DT) for k = 1..T-1."""
+    tail = kernel_u(np.arange(1, t) * DT, TAU_R, PHI)
     tail.setflags(write=False)
     return tail[:, None]
 
 
-def synaptic_filter(x: np.ndarray, params: SRMParams) -> np.ndarray:
+def synaptic_filter(x: np.ndarray) -> np.ndarray:
     """Causal temporal convolution of spike trains with kernel v.
 
-    x has time on the last axis: out[..., k] = sum_j v((k-j)*dt) * x[..., j].
+    x has time on the last axis: out[..., k] = sum_j v((k-j)*DT) * x[..., j].
     """
-    return x @ _synaptic_matrix(x.shape[-1], params).T
+    return x @ _synaptic_matrix(x.shape[-1]).T
 
 
-def membrane_drive(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
-    """Un-thresholded drive conv(W, v * x) for every time step, with no
+def membrane_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Un-thresholded drive conv(w, v * x) for every time step, with no
     spikes and no reset: (C,H,W,T) -> (O,H',W',T)."""
-    filtered = synaptic_filter(x, layer.params)
-    batch = filtered.transpose(3, 0, 1, 2)  # time as batch
-    zero_bias = np.zeros(layer.weights.shape[0])
-    y, _ = conv2d_forward(batch, layer.weights, zero_bias, layer.stride, layer.padding)
+    batch = synaptic_filter(x).transpose(3, 0, 1, 2)  # time as batch
+    y, _ = conv2d_forward(batch, w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING)
     return y.transpose(1, 2, 3, 0)
 
 
-def srm_layer_forward(x: np.ndarray, layer: SRMConvLayer) -> np.ndarray:
+def srm_layer_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Simulate one spiking layer; returns binary spikes (O,H',W',T).
 
     Per step: potential = weighted synaptic drive + refractory trace;
-    spike where potential >= phi; each spike adds u((k'-k)*dt) to that
+    spike where potential >= PHI; each spike adds u((k'-k)*DT) to that
     neuron's potential at all later steps k'.
     """
-    p = layer.params
     # back to the conv's own contiguous (T,O,H',W') layout: a view, no copy
-    psp = membrane_drive(x, layer).transpose(3, 0, 1, 2)
+    psp = membrane_drive(x, w).transpose(3, 0, 1, 2)
     t = psp.shape[0]
     drive = psp.reshape(t, -1)
-    u_tail = _refractory_tail(t, p)
+    u_tail = _refractory_tail(t)
     fired = np.empty(drive.shape, dtype=bool)
     refr = np.zeros_like(drive)
     for k in range(t):
-        np.greater_equal(drive[k] + refr[k], p.phi, out=fired[k])
+        np.greater_equal(drive[k] + refr[k], PHI, out=fired[k])
         if k + 1 < t:
             cols = np.flatnonzero(fired[k])
             if cols.size:
@@ -189,15 +160,15 @@ def mean_over_time(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class UeeNetwork:
-    """Spiking layers followed by one drive layer and a geometry adapter."""
+    """Spiking layers followed by one drive layer, each its weight array."""
 
-    layers: list[SRMConvLayer] = field(default_factory=list)
+    layers: list[np.ndarray]
 
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("UEE needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
-            if a.weights.shape[0] != b.weights.shape[1]:
+            if a.shape[0] != b.shape[1]:
                 raise GeometryError("channel mismatch between SRM layers")
 
 
@@ -207,12 +178,10 @@ def uee_forward_spikes(
     """Spikes from encode_events_to_spikes -> SRM layers -> drive -> time
     mean -> (C, h, w), adaptively pooled to out_hw when given."""
     x = spikes
-    for layer in net.layers[:-1]:
-        x = srm_layer_forward(x, layer)
-    drive = membrane_drive(x, net.layers[-1])
-    feat = mean_over_time(drive)
+    for w in net.layers[:-1]:
+        x = srm_layer_forward(x, w)
+    feat = mean_over_time(membrane_drive(x, net.layers[-1]))
     if out_hw is not None and feat.shape[1:] != tuple(out_hw):
         pooled, _ = adaptive_avgpool_forward(feat[None], out_hw)
         feat = pooled[0]
     return feat
-

@@ -186,41 +186,40 @@ def conv2d_oracle(x, w, b, stride=1, pad=0):
     return y.reshape(n, o, oh, ow)
 
 
-def synaptic_filter_oracle(x, params):
+def synaptic_filter_oracle(x):
     """Causal filter with kernel v; the Toeplitz matrix filled row by row."""
-    from mcfr.snn import kernel_v
+    from mcfr.snn import DT, TAU_S, kernel_v
 
     t = x.shape[-1]
-    taps = kernel_v(np.arange(t) * params.dt, params.tau_s)
+    taps = kernel_v(np.arange(t) * DT, TAU_S)
     mat = np.zeros((t, t))
     for k in range(t):
         mat[k, : k + 1] = taps[k::-1]
     return x @ mat.T
 
 
-def weighted_psp_oracle(x, layer):
-    """conv(W, v * x) for every time step: (C,H,W,T) -> (O,H',W',T)."""
-    filtered = synaptic_filter_oracle(x, layer.params)
-    batch = filtered.transpose(3, 0, 1, 2)
-    zero_bias = np.zeros(layer.weights.shape[0])
-    y = conv2d_oracle(batch, layer.weights, zero_bias, layer.stride, layer.padding)
+def weighted_psp_oracle(x, w):
+    """conv(w, v * x) for every time step: (C,H,W,T) -> (O,H',W',T)."""
+    from mcfr.snn import UEE_PADDING, UEE_STRIDE
+
+    batch = synaptic_filter_oracle(x).transpose(3, 0, 1, 2)
+    y = conv2d_oracle(batch, w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING)
     return y.transpose(1, 2, 3, 0)
 
 
-def srm_layer_oracle(x, layer):
+def srm_layer_oracle(x, w):
     """One spiking layer stepped on (O,H',W',T) slices; every step that
     fires adds the refractory tail to the whole remaining block."""
-    from mcfr.snn import kernel_u
+    from mcfr.snn import DT, PHI, TAU_R, kernel_u
 
-    p = layer.params
-    psp = weighted_psp_oracle(x, layer)
+    psp = weighted_psp_oracle(x, w)
     t = psp.shape[-1]
-    u_tail = kernel_u(np.arange(1, t) * p.dt, p.tau_r, p.phi)
+    u_tail = kernel_u(np.arange(1, t) * DT, TAU_R, PHI)
     spikes = np.zeros_like(psp)
     refr = np.zeros_like(psp)
     for k in range(t):
         potential = psp[..., k] + refr[..., k]
-        fired = (potential >= p.phi).astype(np.float64)
+        fired = (potential >= PHI).astype(np.float64)
         spikes[..., k] = fired
         remaining = t - k - 1
         if remaining and fired.any():
@@ -233,8 +232,8 @@ def uee_forward_spikes_oracle(spikes, net, out_hw=None):
     from mcfr.nn import adaptive_avgpool_forward
 
     x = spikes
-    for layer in net.layers[:-1]:
-        x = srm_layer_oracle(x, layer)
+    for w in net.layers[:-1]:
+        x = srm_layer_oracle(x, w)
     feat = weighted_psp_oracle(x, net.layers[-1]).mean(axis=-1)
     if out_hw is not None and feat.shape[1:] != tuple(out_hw):
         pooled, _ = adaptive_avgpool_forward(feat[None], out_hw)

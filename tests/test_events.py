@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestEventStream:
         for width, height in [(side + 1, 1), (1, side + 1)]:
             with pytest.raises(GeometryError, match="each side must be"):
                 EventStream.empty(width, height)
+
+    @pytest.mark.parametrize("width,height", [
+        (3.5, 2), (3, 2.0), (True, 2), (3, np.float64(2)), ("3", 2),
+    ])
+    def test_geometry_must_be_integers(self, width, height):
+        # a width of 3.5 would be stored as 3, yet x = 3 passes x < 3.5
+        with pytest.raises(GeometryError, match="must be an integer"):
+            EventStream([0], [3], [0], [1], width, height)
+
+    def test_numpy_integer_geometry(self):
+        s = EventStream([0], [3], [1], [1], np.int64(4), np.int32(2))
+        assert (s.width, s.height) == (4, 2) and type(s.width) is int
 
     def test_immutable(self):
         s = make_stream([(1, 1, 10, 1)])
@@ -361,6 +374,42 @@ class TestReaderPaths:
             got = _outcome(load_events, path)
         assert got == _outcome(events._load_events_lines, path)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="int() has no digit limit on this Python")
+    @pytest.mark.parametrize("body", [
+        b"0" * 5000 + b"1,1,1,1\n",  # leading zeros do not count
+        b"1,1,1," + b"0" * 5000 + b"1\n",
+        b"1" * 5000 + b",1,1,1\n",  # past every range
+        b"1,1,1,-" + b"9" * 700 + b"\n",
+        b"1,1,1,1\n" + b"1" * 30 + b",1,1,1\n",
+    ])
+    @pytest.mark.parametrize("header", [
+        HEADER,
+        b"# " + b"0" * 5000 + b"8,8\n",
+        b"# " + b"9" * 5000 + b",8\n",
+    ])
+    def test_outcome_does_not_depend_on_the_int_digit_limit(self, tmp_path, header, body):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(header + body)
+        default = sys.get_int_max_str_digits()
+        outcomes = []
+        try:
+            for limit in (default, 640, 0):
+                sys.set_int_max_str_digits(limit)
+                outcomes.append((_outcome(load_events, path),
+                                 _outcome(events._load_events_lines, path)))
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert outcomes[0][0] == outcomes[0][1]
+        assert outcomes[1:] == outcomes[:1] * 2
+
+    @pytest.mark.parametrize("zeros", [0, 17, 5000])
+    def test_leading_zeros_do_not_count(self, tmp_path, zeros):
+        path = tmp_path / "ev.csv"
+        path.write_bytes(b"# " + b"0" * zeros + b"8,8\n" + b"0" * zeros + b"1,2,3,-1\n")
+        s = load_events(path)
+        assert (s.width, s.height, s.t.tolist(), s.p.tolist()) == (8, 8, [1], [-1])
+
     def test_decreasing_timestamp_names_its_line(self, tmp_path):
         path = tmp_path / "ev.csv"
         path.write_bytes(self.HEADER + b"5,1,1,1\n6,1,1,1\n4,1,1,1\n")
@@ -392,7 +441,7 @@ class TestReaderPaths:
                             lambda lines: sizes.append(len(lines)) or parse(lines))
         path = tmp_path / "ev.csv"
         path.write_bytes(b"1,1,1,1\n" + b"0" * (3 * events._BLOCK))
-        assert _outcome(load_events, path) == (EventParseError, 2)  # int()'s digit limit
+        assert _outcome(load_events, path) == (EventParseError, 2)  # one field, not 4
         assert max(sizes, default=0) <= events._BLOCK
 
     def test_line_across_a_block_boundary(self, tmp_path, monkeypatch):

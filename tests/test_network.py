@@ -95,9 +95,6 @@ class TestInitialize:
         assert (model.uee is None) == ("uee.0.w" not in params)
         if model.uee is not None:
             assert len(model.uee.layers) == len(config.uee.channels) - 1
-            for layer in model.uee.layers:
-                assert (layer.stride, layer.padding, layer.params) == (
-                    2, 1, config.uee.srm_params())
 
     @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
     def test_param_shapes_is_the_checkpoint_set(self, variant):
@@ -337,6 +334,15 @@ class TestTrainStep:
         assert losses[-1] < 0.01
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.0])
+    def test_chunk_must_be_a_positive_integer(self, chunk):
+        # with chunk=-1 the batch loop runs zero times: a loss of 0.0, no step
+        config = MCFRConfig.tiny()
+        model = MCFRModel.initialize(config, seed=0)
+        with pytest.raises(ConfigError, match="chunk must be an integer >= 1"):
+            train_step(model, self.make_batch(config), 0, default_sgd_config(),
+                       SGDState(), chunk=chunk)
+
     @pytest.mark.parametrize("chunk", [64, 1])
     def test_non_finite_refused_before_update(self, chunk):
         config = MCFRConfig.tiny()
@@ -358,13 +364,13 @@ class TestTrainStep:
     def test_uee_frozen_through_training(self):
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=0)
-        before = [l.weights.copy() for l in model.uee.layers]
+        before = [w.copy() for w in model.uee.layers]
         batch = self.make_batch(config)
         state = SGDState()
         for _ in range(5):
             train_step(model, batch, 0, default_sgd_config(), state)
-        for b, l in zip(before, model.uee.layers):
-            assert np.array_equal(b, l.weights)
+        for b, w in zip(before, model.uee.layers):
+            assert np.array_equal(b, w)
 
     def test_domain_isolation(self):
         config = MCFRConfig.tiny(num_domains=3)
@@ -620,8 +626,8 @@ class TestCheckpoint:
         assert np.array_equal(single.params["fc4.w"], model.params["fc4.w"])
         assert list(single.params) == list(param_shapes(single.config))
         for a, b in zip(single.uee.layers, model.uee.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert a.weights is not b.weights
+            assert np.array_equal(a, b)
+            assert a is not b
 
     def test_uee_given_exactly_when_the_variant_keeps_it(self):
         # otherwise save_checkpoint writes a file load_checkpoint refuses
@@ -643,12 +649,21 @@ class TestCheckpoint:
                            match=r"shape mismatch for 'fc5.b': \(3,\) != \(8,\)"):
             MCFRModel(full.config, params)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_constructor_refuses_non_finite_uee_weights(self, bad):
+        full = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
+        params = dict(full.params)
+        params["uee.0.w"] = params["uee.0.w"].copy()
+        params["uee.0.w"][1, 0, 2, 2] = bad
+        with pytest.raises(ConfigError, match="non-finite event-branch weights 'uee.0.w'"):
+            MCFRModel(full.config, params)
+
     def test_uee_is_a_view_of_the_params(self):
         model = MCFRModel.initialize(MCFRConfig.tiny(), seed=0)
         layers = model.uee.layers
         assert len(layers) == 2
-        for i, layer in enumerate(layers):
-            assert layer.weights is model.params[f"uee.{i}.w"]
+        for i, w in enumerate(layers):
+            assert w is model.params[f"uee.{i}.w"]
         no_uee = MCFRConfig.tiny().with_ablation("no-uee")
         assert MCFRModel.initialize(no_uee).uee is None
 
@@ -666,10 +681,9 @@ class TestCheckpoint:
         for name, arr in model.params.items():
             assert np.array_equal(twin.params[name], arr)
         twin.params["fc4.w"] += 1.0
-        twin.uee.layers[0].weights += 1.0
+        twin.uee.layers[0] += 1.0
         assert not np.array_equal(twin.params["fc4.w"], model.params["fc4.w"])
-        assert not np.array_equal(twin.uee.layers[0].weights,
-                                  model.uee.layers[0].weights)
+        assert not np.array_equal(twin.uee.layers[0], model.uee.layers[0])
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcfr.errors import GeometryError
+from mcfr.errors import ConfigError, GeometryError
 from mcfr.network import MCFRConfig
 from mcfr.nn import (
     SGDConfig,
@@ -289,6 +289,25 @@ class TestSGD:
         sgd_step(params, grads, cfg, SGDState())
         assert params["fc6.0.w"][0] == pytest.approx(1.0 - 1e-3)
         assert params["fc4.w"][0] == pytest.approx(1.0 - 1e-4)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(default_lr=float("nan")),
+        dict(default_lr=-1e-4),
+        dict(lr={"fc6": float("inf")}),
+        dict(momentum=float("inf")),
+        dict(momentum=-0.9),
+        dict(weight_decay=float("nan")),
+        dict(weight_decay="5e-4"),
+    ], ids=repr)
+    def test_rejects_rates_that_are_not_finite_and_non_negative(self, kwargs):
+        # any of these turns every parameter the step reaches into NaN
+        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+            SGDConfig(**{"lr": {}, **kwargs})
+
+    def test_accepts_zero_and_numpy_scalars(self):
+        cfg = SGDConfig(lr={"fc6": np.float64(1e-3)}, default_lr=0,
+                        momentum=np.float32(0.5), weight_decay=0.0)
+        assert cfg.rate_for("fc6.0.w") == 1e-3
 
 
 def conv_gradcheck(seed, stride=1, pad=1):

@@ -264,6 +264,17 @@ class TestSyntheticScene:
         with pytest.raises(ConfigError, match="unknown scene motion 'fast'"):
             SceneSpec(motion="fast")
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(width=64.0), dict(height=64.5), dict(object_w=12.0), dict(object_h=True),
+        dict(frame_count=5.0), dict(frame_interval_us=1.5), dict(object_value=230.0),
+        dict(velocity=(1.0,)), dict(velocity=(1.0, 0.0, 0.0)),
+    ], ids=repr)
+    def test_non_integer_fields_and_short_velocity_rejected(self, kwargs):
+        # each would fail later with a bare TypeError or IndexError, or
+        # give float timestamps that load_sequence refuses once saved
+        with pytest.raises(ConfigError):
+            SceneSpec(**kwargs)
+
     def test_object_larger_than_canvas_rejected(self):
         with pytest.raises(ConfigError):
             SceneSpec(width=10, height=10, object_w=12, object_h=12)
@@ -301,6 +312,18 @@ class TestSequenceDiskRoundTrip:
         for a, b in zip(back.frames, seq.frames):
             assert np.array_equal(a, b)
 
+
+
+class TestFrameSequence:
+    @pytest.mark.parametrize("timestamps", [(0, 1.5), (0.0, 1), (0, True)])
+    def test_non_integer_timestamps_rejected(self, timestamps):
+        frames = (np.zeros((2, 3), np.uint8),) * 2
+        with pytest.raises(ValueError, match="timestamp must be an integer"):
+            FrameSequence(frames, timestamps)
+
+    def test_numpy_integer_timestamps(self):
+        frames = (np.zeros((2, 3), np.uint8),) * 2
+        assert len(FrameSequence(frames, (np.int64(0), np.int64(5)))) == 2
 
 
 class TestSequenceLoaderFaults:
