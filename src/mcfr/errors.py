@@ -1,6 +1,25 @@
-"""Shared exception types, and the integer rule every checked field uses."""
+"""Shared exception types, and the input rules every loader uses.
+
+Integer text grammar (event CSV fields and sidecar, timestamps.txt lines,
+PGM/PPM header tokens): an optional leading "-" and ASCII digits, blanks
+around them ignored; "+", "_" and non-ASCII digits are refused. Leading
+zeros do not count, and more than _DIGITS_MAX significant digits read as
++-10**_DIGITS_MAX, past every range a caller accepts, so int()'s own digit
+limit never decides the outcome (decimal_int).
+
+A sensor side (stream geometry, frame or stacked dump side, the network's
+input crop) is an integer in 1..MAX_SENSOR_SIDE (require_side).
+"""
 
 import numbers
+
+# Largest sensor side accepted, in pixels. Real event cameras stay well
+# below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
+# a (height, width) grid built from a stream to 4096^2 cells.
+MAX_SENSOR_SIDE = 4096
+
+_DIGITS_MAX = 20  # significant digits read; a longer field saturates
+_BLANKS = " \t\n\v\f\r"  # what int() strips; str.strip() strips more
 
 
 class McfrError(Exception):
@@ -45,3 +64,23 @@ def require_int(name: str, value, minimum: int | None = None,
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_side(name: str, value, error: type[Exception] = GeometryError) -> None:
+    """Raise `error` unless value is an integer sensor side in
+    1..MAX_SENSOR_SIDE."""
+    require_int(name, value, 1, error)
+    if value > MAX_SENSOR_SIDE:
+        raise error(f"{name} {value} exceeds the sensor side limit {MAX_SENSOR_SIDE}")
+
+
+def decimal_int(field: str) -> int | None:
+    """The value of one field under the integer text grammar above, or None
+    if the field does not follow it."""
+    field = field.strip(_BLANKS)
+    digits = field.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0")
+    value = int(digits or "0") if len(digits) <= _DIGITS_MAX else 10**_DIGITS_MAX
+    return -value if field.startswith("-") else value

@@ -9,11 +9,7 @@ File format: optional comment lines starting with "#". The line
 "# t_us,x,y,p" is the column header; a comment of two integers
 "# <width>,<height>" is the sensor-geometry sidecar (each side at most
 MAX_SENSOR_SIDE). Every data line is "t,x,y,p", t non-decreasing. In both,
-a field is a decimal integer: an optional leading "-" and ASCII digits,
-with blanks around it ignored; a "+" sign or "_" digit separators are
-refused. Leading zeros do not count, and a field of more than _DIGITS_MAX
-significant digits reads as +-10**_DIGITS_MAX, past every range the format
-accepts, so int()'s own digit limit never decides the outcome.
+every field follows the integer text grammar stated in mcfr.errors.
 
 Reading takes one of two paths to the same result. The fast path reads the
 leading "#" lines, then the rest of the file in blocks of whole lines. A
@@ -22,9 +18,9 @@ block must hold only "0123456789,-" and newlines, which rules out blanks,
 than _FIELD_MAX bytes; np.loadtxt then parses it as int64 in one call. Any
 other file, and any file the fast path cannot load, goes to the line
 parser, which alone names the line of an error and accepts the grammar
-above in full. Within
-the fast path's alphabet both accept and refuse the same fields, so a file
-loads to the same stream, or fails with the same error, on either path.
+in full. Within the fast path's alphabet both accept and refuse the same
+fields, so a file loads to the same stream, or fails with the same error,
+on either path.
 Writing formats bounded chunks of events in one call each.
 """
 
@@ -37,12 +33,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EventParseError, GeometryError, McfrError, require_int
-
-# Largest sensor side accepted, in pixels. Real event cameras stay well
-# below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
-# a (height, width) grid built from a stream to 4096^2 cells.
-MAX_SENSOR_SIDE = 4096
+from .errors import EventParseError, GeometryError, McfrError, decimal_int, require_side
+from .errors import MAX_SENSOR_SIDE  # noqa: F401  (re-exported: the format's side cap)
 
 # The bytes a data line may hold on the fast read path.
 _PLAIN = b"0123456789,-\n"
@@ -60,8 +52,6 @@ _FIELD_MAX = 18
 _LINE_MAX = 4 * _FIELD_MAX + 3
 # The dtype of each column, in file order.
 _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
-_DIGITS_MAX = 20  # significant digits read; a longer field saturates
-_BLANKS = " \t\n\v\f\r"  # what int() strips; str.strip() strips more
 # Events formatted per call when writing: the Python ints of one chunk take
 # a few MB, and the per-call cost is spread over 32k lines.
 _WRITE_CHUNK = 1 << 15
@@ -113,13 +103,8 @@ class EventStream:
         p = _exact("p", p, np.int8)
         if not (t.shape == x.shape == y.shape == p.shape) or t.ndim != 1:
             raise ValueError("event field arrays must be 1-D and equal length")
-        require_int("sensor width", width, error=GeometryError)
-        require_int("sensor height", height, error=GeometryError)
-        if not (0 < width <= MAX_SENSOR_SIDE and 0 < height <= MAX_SENSOR_SIDE):
-            raise GeometryError(
-                f"invalid sensor geometry {width}x{height} "
-                f"(each side must be 1..{MAX_SENSOR_SIDE})"
-            )
+        require_side("sensor width", width)
+        require_side("sensor height", height)
         if t.size:
             if np.any(np.diff(t) < 0):
                 i = int(np.argmax(np.diff(t) < 0))
@@ -274,13 +259,8 @@ def _parse_plain(lines: bytes) -> list[np.ndarray]:
 def _load_events_lines(path, geometry: tuple[int, int] | None) -> EventStream:
     """load_events one line at a time: the reference grammar, and the only
     path that names the line of an error."""
-    path = Path(path)
-    ts: list[int] = []
-    xs: list[int] = []
-    ys: list[int] = []
-    ps: list[int] = []
+    rows: list[list[int]] = []
     file_geometry: tuple[int, int] | None = None
-    prev_t = None
     # surrogateescape turns a non-ASCII byte into a lone surrogate instead
     # of raising mid-read, so the isascii check below can name its line
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
@@ -293,26 +273,23 @@ def _load_events_lines(path, geometry: tuple[int, int] | None) -> EventStream:
             if line.startswith("#"):
                 file_geometry = _sidecar(line) or file_geometry
                 continue
-            fields = _decimal_fields(line)
-            if fields is None:
+            fields = [decimal_int(f) for f in line.split(",")]
+            if None in fields:
                 raise EventParseError(f"non-decimal field in {line!r}", lineno)
             if len(fields) != 4:
                 raise EventParseError(
                     f"expected 4 comma-separated fields, got {len(fields)}", lineno
                 )
-            t, x, y, p = fields
+            t, _, _, p = fields
             if p not in (-1, 1):
                 raise EventParseError(f"polarity {p} not in {{-1, +1}}", lineno)
-            if prev_t is not None and t < prev_t:
+            if rows and t < rows[-1][0]:
                 raise EventParseError(
-                    f"timestamp {t} decreases below previous {prev_t}", lineno
+                    f"timestamp {t} decreases below previous {rows[-1][0]}", lineno
                 )
-            prev_t = t
-            ts.append(t)
-            xs.append(x)
-            ys.append(y)
-            ps.append(p)
-    return _build(ts, xs, ys, ps, geometry, file_geometry)
+            rows.append(fields)
+    columns = zip(*rows) if rows else ((),) * 4
+    return _build(*columns, geometry, file_geometry)
 
 
 def _build(t, x, y, p, geometry, file_geometry) -> EventStream:
@@ -339,21 +316,5 @@ def save_events(stream: EventStream, path) -> None:
 
 def _sidecar(comment: str) -> tuple[int, int] | None:
     """(width, height) if a stripped "#" line holds two decimal integers."""
-    fields = _decimal_fields(comment[1:])
-    return tuple(fields) if fields is not None and len(fields) == 2 else None
-
-
-def _decimal_fields(text: str) -> list[int] | None:
-    """The comma-separated fields of an ASCII line as ints, or None if one is
-    not a decimal integer. A field past _DIGITS_MAX significant digits reads
-    as +-10**_DIGITS_MAX, so int() never sees more than that many digits."""
-    fields = []
-    for field in text.split(","):
-        field = field.strip(_BLANKS)
-        digits = field.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            return None
-        digits = digits.lstrip("0")
-        value = int(digits or "0") if len(digits) <= _DIGITS_MAX else 10**_DIGITS_MAX
-        fields.append(-value if field.startswith("-") else value)
-    return fields
+    fields = [decimal_int(f) for f in comment[1:].split(",")]
+    return tuple(fields) if None not in fields and len(fields) == 2 else None

@@ -1,10 +1,11 @@
 """Frame sequences and their on-disk layout.
 
 A sequence directory holds zero-padded numbered images (binary PGM "P5"
-for grayscale, PPM "P6" for color, maxval 255, each side at most
-events.MAX_SENSOR_SIDE), a "timestamps.txt" with
-one integer microsecond value per line, and optionally "groundtruth.txt"
+for grayscale, PPM "P6" for color, maxval 255), a "timestamps.txt" with
+one int64 microsecond value per line, and optionally "groundtruth.txt"
 with one "x,y,w,h" line per frame (floats, 0-based top-left origin).
+Header tokens and timestamps follow the integer text grammar, and image
+sides the sensor-side rule, both stated in mcfr.errors.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, McfrError, require_int
-from .events import MAX_SENSOR_SIDE
+from .errors import GeometryError, McfrError, decimal_int, require_int, require_side
 
 # BT.601 luma weights; the conversion used everywhere color -> gray.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -97,8 +97,7 @@ def write_netpbm(path, frame: np.ndarray) -> None:
 
 
 def read_netpbm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise McfrError(f"{path}: not a binary PGM/PPM file")
@@ -120,16 +119,11 @@ def read_netpbm(path) -> np.ndarray:
             raise McfrError(f"{path}: truncated header")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace byte after maxval
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise McfrError(f"{path}: non-numeric header field in {tokens}") from None
-    if w <= 0 or h <= 0:
-        raise McfrError(f"{path}: invalid dimensions {w}x{h}")
-    if w > MAX_SENSOR_SIDE or h > MAX_SENSOR_SIDE:
-        raise GeometryError(
-            f"{path}: {w}x{h} frame exceeds the {MAX_SENSOR_SIDE}-pixel side limit"
-        )
+    w, h, maxval = (decimal_int(t.decode("ascii", "surrogateescape")) for t in tokens)
+    if None in (w, h, maxval):
+        raise McfrError(f"{path}: non-numeric header field in {tokens}")
+    require_side(f"{path}: width", w)
+    require_side(f"{path}: height", h)
     if maxval != 255:
         raise McfrError(f"{path}: unsupported maxval {maxval}")
     channels = 1 if magic == b"P5" else 3
@@ -170,11 +164,21 @@ def load_sequence(directory) -> FrameSequence:
     if not ts_path.exists():
         raise McfrError(f"missing {ts_path}")
     frames = tuple(read_netpbm(p) for p in paths)
+    timestamps = []
+    # read as the event CSV is: a non-ASCII byte becomes a surrogate, which
+    # the grammar refuses, instead of a decoding error
+    with open(ts_path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not (line := raw.strip()):
+                continue
+            t = decimal_int(line)
+            if t is None or not -2**63 <= t < 2**63:
+                raise McfrError(f"{ts_path}: line {lineno}: not an int64 "
+                                f"decimal timestamp: {line!r}")
+            timestamps.append(t)
     try:
-        # ValueError covers a non-integer line, a count that does not match
-        # the frames and non-increasing values
-        timestamps = tuple(int(tok) for tok in ts_path.read_text().split())
-        return FrameSequence(frames=frames, timestamps=timestamps)
+        # a count that does not match the frames, or non-increasing values
+        return FrameSequence(frames=frames, timestamps=tuple(timestamps))
     except ValueError as exc:
         raise McfrError(f"{ts_path}: {exc}") from None
 

@@ -52,8 +52,8 @@ from .errors import (
     McfrError,
     NonFiniteError,
     require_int,
+    require_side,
 )
-from .events import MAX_SENSOR_SIDE
 from .nn import (
     SGDConfig,
     SGDState,
@@ -191,12 +191,8 @@ class MCFRConfig:
     ablation: AblationFlags = AblationFlags()
 
     def __post_init__(self):
-        _require_ints(self, ("input_crop", "fusion_channels", "num_domains"), 1)
-        if self.input_crop > MAX_SENSOR_SIDE:
-            raise ConfigError(
-                f"input_crop {self.input_crop} exceeds the sensor side limit "
-                f"{MAX_SENSOR_SIDE}"
-            )
+        require_side("MCFRConfig.input_crop", self.input_crop, ConfigError)
+        _require_ints(self, ("fusion_channels", "num_domains"), 1)
         if len(self.fc_dims) != 2:
             raise ConfigError("fc_dims holds the fc4 and fc5 widths")
         for d in self.fc_dims:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def adaptive_avgpool_forward(x, out_hw: tuple[int, int]):
     mh, mw = out_hw
     if mh > h or mw > w:
         raise GeometryError(f"adaptive pool target {out_hw} exceeds input {(h, w)}")
-    y = np.empty((n, c, mh, mw))
+    y = np.empty((n, c, mh, mw), dtype=x.dtype)
     bounds_h = [(i * h // mh, (i + 1) * h // mh) for i in range(mh)]
     bounds_w = [(j * w // mw, (j + 1) * w // mw) for j in range(mw)]
     for i, (h0, h1) in enumerate(bounds_h):
@@ -203,7 +204,7 @@ def adaptive_avgpool_forward(x, out_hw: tuple[int, int]):
 
 def adaptive_avgpool_backward(dy, cache):
     x_shape, bounds_h, bounds_w = cache
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
     for i, (h0, h1) in enumerate(bounds_h):
         for j, (w0, w1) in enumerate(bounds_w):
             area = (h1 - h0) * (w1 - w0)
@@ -251,16 +252,18 @@ def softmax_ce_backward(cache):
     return d / n
 
 
-@dataclass
+@dataclass(frozen=True)
 class SGDConfig:
-    """Learning rate per parameter group; groups are name prefixes."""
+    """Learning rate per parameter group; groups are name prefixes. Frozen,
+    with lr copied read-only, so the checks below hold for every step."""
 
-    lr: dict[str, float]
+    lr: Mapping[str, float]
     default_lr: float = 1e-4
     momentum: float = 0.9
     weight_decay: float = 5e-4
 
     def __post_init__(self):
+        object.__setattr__(self, "lr", MappingProxyType(dict(self.lr)))
         # one NaN or inf here turns every parameter it reaches into NaN
         for name, v in [*((f"lr[{k!r}]", v) for k, v in self.lr.items()),
                         ("default_lr", self.default_lr),

@@ -7,7 +7,7 @@ pass: every event gets a cell index (polarity plane, row, column) into a
 (2, H, W) grid. Everything here is a pure function of immutable inputs.
 
 Binary dump format: magic "MCST", u32 width, u32
-height (each at most events.MAX_SENSOR_SIDE), u64 t0, u64 t1
+height (each a sensor side as mcfr.errors defines it), u64 t0, u64 t1
 (little-endian), then four planes of 32-bit IEEE-754 little-endian floats
 in the order c_pos, c_neg, t_pos, t_neg.
 """
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, McfrError
-from .events import MAX_SENSOR_SIDE, EventStream, TimeWindow, slice_window
+from .errors import GeometryError, McfrError, require_side
+from .events import EventStream, TimeWindow, slice_window
 
 # channel order of assembled network inputs; a format contract
 INPUT_CHANNELS = ("r", "g", "b", "c_pos", "c_neg", "t_pos", "t_neg")
@@ -101,12 +101,8 @@ def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     if len(data) < 28:
         raise McfrError(f"{path}: truncated header")
     width, height, t0, t1 = struct.unpack_from("<IIQQ", data, 4)
-    if width == 0 or height == 0:
-        raise McfrError(f"{path}: invalid dimensions {width}x{height}")
-    if width > MAX_SENSOR_SIDE or height > MAX_SENSOR_SIDE:
-        raise GeometryError(
-            f"{path}: {width}x{height} grid exceeds the {MAX_SENSOR_SIDE}-pixel side limit"
-        )
+    require_side(f"{path}: width", width)
+    require_side(f"{path}: height", height)
     if t1 <= t0:
         raise McfrError(f"{path}: empty or inverted window [{t0}, {t1})")
     need = 4 + 24 + 4 * width * height * 4

@@ -63,7 +63,7 @@ class TestEventStream:
         side = MAX_SENSOR_SIDE
         assert EventStream.empty(side, side).width == side
         for width, height in [(side + 1, 1), (1, side + 1)]:
-            with pytest.raises(GeometryError, match="each side must be"):
+            with pytest.raises(GeometryError, match="sensor side limit"):
                 EventStream.empty(width, height)
 
     @pytest.mark.parametrize("width,height", [
@@ -215,7 +215,7 @@ class TestFileIO:
     def test_oversized_geometry_rejected(self, tmp_path, sidecar):
         path = tmp_path / "ev.csv"
         path.write_bytes(sidecar + b"\n1,0,0,1\n")
-        with pytest.raises(GeometryError, match="invalid sensor geometry"):
+        with pytest.raises(GeometryError, match="sensor side limit"):
             load_events(path)
 
     def test_round_trip_small(self, tmp_path):

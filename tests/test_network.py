@@ -303,10 +303,8 @@ class TestTrainStep:
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=0)
         batch = self.make_batch(config)
-        cfg = default_sgd_config()
-        cfg.lr = {"fc6": 0.0}
-        cfg.default_lr = 0.0
-        cfg.weight_decay = 0.0
+        cfg = replace(default_sgd_config(), lr={"fc6": 0.0}, default_lr=0.0,
+                      weight_decay=0.0)
         state = SGDState()
         l1 = train_step(model, batch, 0, cfg, state)
         l2 = train_step(model, batch, 0, cfg, state)

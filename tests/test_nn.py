@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,16 @@ class TestSimpleOps:
         y1, _ = adaptive_avgpool_forward(x, (1, 1))
         assert y1[0, 0, 0, 0] == pytest.approx(x.mean())
 
+    def test_adaptive_avgpool_keeps_float32(self):
+        x = np.random.default_rng(0).normal(size=(2, 3, 9, 7))
+        y, cache = adaptive_avgpool_forward(x.astype(np.float32), (3, 3))
+        dx = adaptive_avgpool_backward(y, cache)
+        assert y.dtype == dx.dtype == np.float32
+        y64, cache64 = adaptive_avgpool_forward(x, (3, 3))
+        assert np.allclose(y, y64, rtol=1e-6, atol=1e-6)
+        dx64 = adaptive_avgpool_backward(y64, cache64)
+        assert np.allclose(dx, dx64, rtol=1e-6, atol=1e-6)
+
 
 class TestMaxPoolExact:
     @pytest.mark.parametrize("kind", ["gauss", "relu", "ties", "zero"])
@@ -307,6 +319,20 @@ class TestSGD:
     def test_accepts_zero_and_numpy_scalars(self):
         cfg = SGDConfig(lr={"fc6": np.float64(1e-3)}, default_lr=0,
                         momentum=np.float32(0.5), weight_decay=0.0)
+        assert cfg.rate_for("fc6.0.w") == 1e-3
+
+    def test_rates_cannot_be_set_after_the_check(self):
+        cfg = SGDConfig(lr={}, default_lr=1e-4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.default_lr = float("nan")
+        assert cfg.default_lr == 1e-4
+
+    def test_group_rates_cannot_be_set_after_the_check(self):
+        lr = {"fc6": 1e-3}
+        cfg = SGDConfig(lr=lr)
+        with pytest.raises(TypeError):
+            cfg.lr["fc6"] = float("nan")
+        lr["fc6"] = float("nan")  # the config holds its own copy
         assert cfg.rate_for("fc6.0.w") == 1e-3
 
 

@@ -336,7 +336,7 @@ class TestSequenceLoaderFaults:
     @pytest.mark.parametrize("text,message", [
         ("0\n1000\n", "count mismatch"),
         ("0\n1000\n1000\n", "strictly increasing"),
-        ("0\n1000\n2e3\n", "invalid literal"),
+        ("0\n1000\n2e3\n", "line 3: not an int64 decimal timestamp"),
     ])
     def test_timestamps_named_fault(self, seq_dir, text, message):
         (seq_dir / "timestamps.txt").write_text(text)
@@ -372,8 +372,8 @@ class TestNetpbmHeaderFaults:
         (b"P5 4 3", "truncated header"),
         (b"P6 4 # comment", "truncated header"),
         (b"P5 4 x3 255\n" + bytes(12), "non-numeric"),
-        (b"P5 0 3 255\n", "invalid dimensions 0x3"),
-        (b"P5 4 -3 255\n" + bytes(12), "invalid dimensions 4x-3"),
+        (b"P5 0 3 255\n", "width must be an integer >= 1, got 0"),
+        (b"P5 4 -3 255\n" + bytes(12), "height must be an integer >= 1, got -3"),
         (b"P5 4 3 255\n" + bytes(11), "truncated raster"),
     ])
     def test_named_fault(self, tmp_path, data, message):
@@ -406,5 +406,24 @@ def test_read_netpbm_fuzz(tmp_path_factory, shape, data):
     path.write_bytes(data.draw(corrupted(path.read_bytes(), hot=12)))
     try:
         read_netpbm(path)
+    except McfrError:
+        pass
+
+
+@pytest.mark.parametrize("name,loader", [("timestamps.txt", load_sequence),
+                                         ("groundtruth.txt", load_groundtruth)])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_sequence_text_fuzz(tmp_path_factory, name, loader, data):
+    # random bytes, or byte flips and truncations of the valid file, in one
+    # text file of a saved two-frame sequence: only McfrError leaves
+    directory = tmp_path_factory.mktemp("seq")
+    save_sequence(FrameSequence((np.zeros((2, 3), np.uint8),) * 2, (0, 1000)),
+                  directory, boxes=[(0, 0, 1, 1), (1, 0, 1.5, 2)])
+    valid = (directory / name).read_bytes()
+    (directory / name).write_bytes(data.draw(st.one_of(
+        st.binary(max_size=64), corrupted(valid, hot=len(valid)))))
+    try:
+        loader(directory)
     except McfrError:
         pass

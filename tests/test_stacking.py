@@ -145,8 +145,8 @@ class TestStackedDump:
     @pytest.mark.parametrize("width,height,t0,t1,message", [
         (3, 2, 10, 5, r"inverted window \[10, 5\)"),
         (3, 2, 7, 7, r"inverted window \[7, 7\)"),
-        (0, 2, 0, 10, "invalid dimensions 0x2"),
-        (3, 0, 0, 10, "invalid dimensions 3x0"),
+        (0, 2, 0, 10, "width must be an integer >= 1, got 0"),
+        (3, 0, 0, 10, "height must be an integer >= 1, got 0"),
     ])
     def test_named_fault(self, tmp_path, width, height, t0, t1, message):
         path = tmp_path / "bad.mcst"
