@@ -42,6 +42,8 @@ class FrameSequence:
         ts = self.timestamps
         for t in ts:
             require_int("a timestamp", t, error=ValueError)
+            if not -2**63 <= t < 2**63:  # the event simulator casts to int64
+                raise ValueError(f"timestamp {t} is outside the int64 range")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("timestamps must be strictly increasing")
 

@@ -26,7 +26,9 @@ ReLU, fc6^domain. A layer is a plain tuple: ("conv", name, w_shape,
 stride, pad), ("fc", name, w_shape), ("relu",), ("pool", k, stride),
 ("adapt", hw) or ("flat",). `param_shapes` reads the parameter shapes off
 the tables, `_run` walks a table forward and `_run_backward` walks it in
-reverse, so forward, backward and the checkpoint set cannot disagree. A
+reverse, so forward, backward and the checkpoint set cannot disagree.
+`_run` is forward-only unless given a list to fill with one cache per
+layer, as `forward` gives it and `features_forward` (scoring) does not. A
 checkpoint holds the config and then those arrays as one f32 run in
 param_shapes order: the config is its table of contents.
 
@@ -59,11 +61,13 @@ from .nn import (
     SGDState,
     adaptive_avgpool_backward,
     adaptive_avgpool_forward,
+    conv2d,
     conv2d_backward,
     conv2d_forward,
     conv_out_dim,
     fc_backward,
     fc_forward,
+    maxpool,
     maxpool_backward,
     maxpool_forward,
     relu_backward,
@@ -424,28 +428,31 @@ class MCFRModel:
         return MCFRModel(cfg, params)
 
 
-def _run(x, layers, params):
-    """Walk a layer table forward; returns (y, one cache per layer)."""
-    caches = []
+def _run(x, layers, params, caches=None):
+    """Walk a layer table forward; returns y. Given a list, appends one
+    cache per layer to it for _run_backward."""
+    keep = caches is not None
+    conv = conv2d_forward if keep else lambda *args: (conv2d(*args), None)
+    pool = maxpool_forward if keep else lambda *args: (maxpool(*args), None)
     for layer in layers:
         kind = layer[0]
         if kind == "conv":
             _, name, _, stride, pad = layer
-            x, cache = conv2d_forward(x, params[f"{name}.w"], params[f"{name}.b"],
-                                      stride, pad)
+            x, cache = conv(x, params[f"{name}.w"], params[f"{name}.b"], stride, pad)
         elif kind == "fc":
             name = layer[1]
             x, cache = fc_forward(x, params[f"{name}.w"], params[f"{name}.b"])
         elif kind == "relu":
             x, cache = relu_forward(x)
         elif kind == "pool":
-            x, cache = maxpool_forward(x, layer[1], layer[2])
+            x, cache = pool(x, layer[1], layer[2])
         elif kind == "adapt":
             x, cache = adaptive_avgpool_forward(x, layer[1])
         else:  # flat
             x, cache = x.reshape(x.shape[0], -1), x.shape
-        caches.append(cache)
-    return x, caches
+        if keep:
+            caches.append(cache)
+    return x
 
 
 def _run_backward(dy, layers, caches, params, grads):
@@ -481,13 +488,9 @@ def _drop_input_groups(assembled: np.ndarray, flags: AblationFlags) -> np.ndarra
     return assembled if keep.all() else np.where(keep[:, None, None], assembled, 0.0)
 
 
-def features_forward(model: MCFRModel, assembled: np.ndarray,
-                     uee_feat: np.ndarray | None):
-    """Branches + fusion; returns (flat features (N,D), cache).
-
-    assembled is (N,7,S,S); uee_feat is (N,C,h,w) aligned to feature_hw and
-    treated as a constant (no gradient flows into it).
-    """
+def _features(model: MCFRModel, assembled: np.ndarray,
+              uee_feat: np.ndarray | None, cache: dict | None = None):
+    """Flat features (N,D); a given dict gets one cache list per table."""
     cfg = model.config
     n = assembled.shape[0]
     if assembled.shape[1] != 7 or assembled.shape[2] != cfg.input_crop:
@@ -503,14 +506,24 @@ def features_forward(model: MCFRModel, assembled: np.ndarray,
     assembled = _drop_input_groups(assembled, cfg.ablation)
     inputs = {"uee": uee_feat, "cfe": assembled, "uer": assembled[:, :3]}
     tables = _layers(cfg)
-    pieces, cache = [], {}
-    for name in cfg.branch_channels:  # the fixed order UEE|CFE|UER
-        out, cache[name] = _run(inputs[name], tables[name], model.params)
-        pieces.append(out)
-    feat, cache["fusion"] = _run(
-        np.concatenate(pieces, axis=1), tables["fusion"], model.params
-    )
-    return feat, cache
+
+    def run(name, x):
+        return _run(x, tables[name], model.params,
+                    None if cache is None else cache.setdefault(name, []))
+
+    # the fixed order UEE|CFE|UER
+    pieces = [run(name, inputs[name]) for name in cfg.branch_channels]
+    return run("fusion", np.concatenate(pieces, axis=1))
+
+
+def features_forward(model: MCFRModel, assembled: np.ndarray,
+                     uee_feat: np.ndarray | None):
+    """Branches + fusion, caching nothing: returns (flat features (N,D), None).
+
+    assembled is (N,7,S,S); uee_feat is (N,C,h,w) aligned to feature_hw and
+    treated as a constant (no gradient flows into it).
+    """
+    return _features(model, assembled, uee_feat), None
 
 
 def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
@@ -519,12 +532,15 @@ def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
         raise ConfigError(
             f"domain {domain} outside 0..{model.config.num_domains - 1}"
         )
-    logits, caches = _run(feat, _layers(model.config, domain)["head"], model.params)
+    caches: list = []
+    logits = _run(feat, _layers(model.config, domain)["head"], model.params, caches)
     return logits, {"domain": domain, "head": caches}
 
 
 def forward(model: MCFRModel, assembled, uee_feat, domain: int):
-    feat, feat_cache = features_forward(model, assembled, uee_feat)
+    """Logits and the caches backward needs; inputs as for features_forward."""
+    feat_cache: dict[str, list] = {}
+    feat = _features(model, assembled, uee_feat, feat_cache)
     logits, fc_cache = classify_features(model, feat, domain)
     return logits, {"feat": feat_cache, "fc": fc_cache}
 

@@ -3,8 +3,9 @@
 Exactly the layer set the fusion network needs: 2-D convolution
 (cross-correlation), ReLU, max pooling, adaptive average pooling, fully
 connected, softmax cross-entropy, and SGD with momentum/weight decay and
-per-group learning rates. All math is float64; numpy supplies storage and
-matmuls, the forward/backward algorithms live here.
+per-group learning rates. Forward layers keep float32 in float32 unless a
+float64 operand widens it; conv and max-pool gradients are float64. numpy
+supplies storage and matmuls, the forward/backward algorithms live here.
 
 Every backward function is validated against finite differences (see
 finite_diff_check): the single-layer tests pin the agreement to 1e-6
@@ -78,6 +79,27 @@ def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
     return y.reshape(n, o, oh, ow), cache
 
 
+def conv2d(x, w, b, stride: int = 1, pad: int = 0):
+    """conv2d_forward's y, with no cache. The columns are built for as many
+    samples at a time as fit in 2 MiB, which stays in cache; np.matmul runs
+    one gemm per sample either way, so the chunks change no sum."""
+    n = x.shape[0]
+    o, c, kh, kw = w.shape
+    if x.shape[1] != c:
+        raise GeometryError(f"conv expects {c} input channels, got {x.shape[1]}")
+    oh = conv_out_dim(x.shape[2], kh, stride, pad)
+    ow = conv_out_dim(x.shape[3], kw, stride, pad)
+    y = np.empty((n, o, oh * ow), dtype=np.result_type(x, w))
+    step = max(1, (2 << 20) // (c * kh * kw * oh * ow * x.itemsize))
+    for s in range(0, n, step):
+        np.matmul(w.reshape(o, -1), _im2col(x[s : s + step], kh, kw, stride, pad)[0],
+                  out=y[s : s + step])
+    # in place unless the bias widens the dtype, as conv2d_forward's sum does
+    in_place = np.result_type(y, b) == y.dtype
+    y = np.add(y, b.reshape(1, o, 1), out=y if in_place else None)
+    return y.reshape(n, o, oh, ow)
+
+
 def conv2d_backward(dy, cache):
     """Gradients (dx, dw, db) of a conv2d_forward call.
 
@@ -109,14 +131,31 @@ def relu_backward(dy, mask):
     return dy * mask
 
 
-def maxpool_forward(x, k: int = 3, stride: int = 2):
-    """(N,C,H,W) max pooling, no padding. Returns (y, cache).
+def maxpool(x, k: int = 3, stride: int = 2):
+    """(N,C,H,W) max pooling, no padding; maxpool_forward's y, with no cache.
 
     The max is separable: k strided column views fold into an
     (N,C,rows,OW) buffer, then k row views of that buffer fold into y.
     Each fold passes the running max as np.maximum's second operand,
     which numpy returns when the two compare equal, so between -0.0 and
     0.0 the earlier cell's zero is kept, as np.argmax's would be.
+    """
+    oh = conv_out_dim(x.shape[2], k, stride, 0)
+    ow = conv_out_dim(x.shape[3], k, stride, 0)
+    rspan = (oh - 1) * stride + 1
+    cspan = (ow - 1) * stride + 1
+    rows = x[:, :, : rspan + k - 1]
+    buf = rows[..., :cspan:stride].copy()
+    for j in range(1, k):
+        np.maximum(rows[..., j : j + cspan : stride], buf, out=buf)
+    y = buf[:, :, :rspan:stride].copy()
+    for i in range(1, k):
+        np.maximum(buf[:, :, i : i + rspan : stride], y, out=y)
+    return y
+
+
+def maxpool_forward(x, k: int = 3, stride: int = 2):
+    """(N,C,H,W) max pooling, no padding. Returns (maxpool(x, k, stride), cache).
 
     The cache routes each window's gradient to its first cell, in
     row-major order, that equals the max: np.argmax's tie rule, so a
@@ -127,22 +166,10 @@ def maxpool_forward(x, k: int = 3, stride: int = 2):
     step's peak memory. A window holding NaN has no cell equal to its max
     and routes to its first NaN, as np.argmax does.
     """
-    n, c, h, w = x.shape
-    oh = conv_out_dim(h, k, stride, 0)
-    ow = conv_out_dim(w, k, stride, 0)
-    rspan = (oh - 1) * stride + 1
-    cspan = (ow - 1) * stride + 1
-    rows = x[:, :, : rspan + k - 1]
-    buf = rows[..., :cspan:stride].copy()
-    for j in range(1, k):
-        np.maximum(rows[..., j : j + cspan : stride], buf, out=buf)
-    y = buf[:, :, :rspan:stride].copy()
-    for i in range(1, k):
-        np.maximum(buf[:, :, i : i + rspan : stride], y, out=y)
-    del buf
-
+    y = maxpool(x, k, stride)
+    oh, ow = y.shape[2:]
     cells = [
-        x[:, :, i : i + rspan : stride, j : j + cspan : stride]
+        x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
         for i in range(k)
         for j in range(k)
     ]

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_side
 from .events import EventStream
 from .frames import FrameSequence, to_luminance
 
@@ -152,7 +152,9 @@ class SceneSpec:
     background_value: int = 40
 
     def __post_init__(self):
-        for name in ("width", "height", "object_w", "object_h", "object_value",
+        require_side("SceneSpec.width", self.width, ConfigError)
+        require_side("SceneSpec.height", self.height, ConfigError)
+        for name in ("object_w", "object_h", "object_value",
                      "background_value", "frame_count", "frame_interval_us"):
             require_int(f"SceneSpec.{name}", getattr(self, name),
                         1 if name.startswith("frame") else None)

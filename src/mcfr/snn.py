@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, require_int
 from .events import EventStream, TimeWindow, slice_window
-from .nn import adaptive_avgpool_forward, conv2d_forward
+from .nn import adaptive_avgpool_forward, conv2d
 
 # Synaptic and refractory time constants (ms), firing threshold, and the
 # simulation step (ms). DT <= TAU_S/4 samples the rise of v finely enough.
@@ -124,7 +124,7 @@ def membrane_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Un-thresholded drive conv(w, v * x) for every time step, with no
     spikes and no reset: (C,H,W,T) -> (O,H',W',T)."""
     batch = synaptic_filter(x).transpose(3, 0, 1, 2)  # time as batch
-    y, _ = conv2d_forward(batch, w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING)
+    y = conv2d(batch, w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING)
     return y.transpose(1, 2, 3, 0)
 
 

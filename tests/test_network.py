@@ -64,8 +64,8 @@ CFE_ONLY = MCFRConfig.tiny().with_ablation("er")
 
 def tau_output_cols(model, x7):
     """The im2col columns the first CFE conv took from tau's output."""
-    _, cache = features_forward(model, x7, None)
-    return cache["cfe"][1][1]  # layer 0 is tau, layer 1 the first CFE conv
+    _, cache = forward(model, x7, None, 0)
+    return cache["feat"]["cfe"][1][1]  # layer 0 is tau, layer 1 the first CFE conv
 
 
 def expect_cols(model, tau_out):
@@ -75,8 +75,7 @@ def expect_cols(model, tau_out):
 
 def uer_output(model, rgb):
     """The UER output, adapted to feature_hw, as the fusion conv takes it."""
-    out, _ = _run(rgb, _layers(model.config)["uer"], model.params)
-    return out
+    return _run(rgb, _layers(model.config)["uer"], model.params)
 
 
 class TestInitialize:
@@ -150,13 +149,13 @@ class TestBranches:
         assert config.feature_hw == (3, 3)
         model = MCFRModel.initialize(config, seed=0)
         x = np.random.default_rng(0).random((1, 3, 107, 107))
-        y, _ = _run(x, cfe_blocks(config), model.params)
+        y = _run(x, cfe_blocks(config), model.params)
         assert y.shape == (1, 512, 3, 3)
 
     def test_cfe_zero_input_zero_output(self):
         config = MCFRConfig.tiny()
         model = MCFRModel.initialize(config, seed=0)
-        y, _ = _run(np.zeros((1, 3, 19, 19)), cfe_blocks(config), model.params)
+        y = _run(np.zeros((1, 3, 19, 19)), cfe_blocks(config), model.params)
         assert not y.any()  # biases start at zero
 
     def test_cfe_positive_homogeneity(self):
@@ -164,8 +163,8 @@ class TestBranches:
         config = MCFRConfig.reduced()
         model = MCFRModel.initialize(config, seed=1)
         x = np.random.default_rng(1).standard_normal((1, 3, 75, 75))
-        y1, _ = _run(x, cfe_blocks(config), model.params)
-        y2, _ = _run(2.0 * x, cfe_blocks(config), model.params)
+        y1 = _run(x, cfe_blocks(config), model.params)
+        y2 = _run(2.0 * x, cfe_blocks(config), model.params)
         assert np.allclose(y2, 2.0 * y1, atol=1e-9)
 
     def test_uer_matches_cfe_spatial(self):
@@ -252,6 +251,25 @@ class TestFusion:
             assembled, uee_feat = rand_inputs(config, 2, seed=1)
             logits, _ = forward(model, assembled, uee_feat, domain=0)
             assert logits.shape == (2, 2)
+
+    @pytest.mark.parametrize("config,n", [
+        *((MCFRConfig.tiny().with_ablation(v), 3) for v in sorted(ABLATION_VARIANTS)),
+        # 64 crops at desk scale: the forward-only convs split the batch
+        (MCFRConfig.reduced(), 64),
+    ], ids=[*sorted(ABLATION_VARIANTS), "reduced-full-64"])
+    def test_scoring_path_matches_forward(self, config, n):
+        model = MCFRModel.initialize(config, seed=0)
+        assembled, uee_feat = rand_inputs(config, n, seed=1)
+        for a in (assembled, uee_feat, *model.params.values()):
+            if a is not None:
+                a.setflags(write=False)
+        feat, cache = features_forward(model, assembled, uee_feat)
+        assert cache is None
+        logits, cache = forward(model, assembled, uee_feat, 0)
+        want = cache["fc"]["head"][0]  # fc4's cache is its input, the features
+        assert feat.dtype == want.dtype and feat.tobytes() == want.tobytes()
+        scored, _ = classify_features(model, feat, 0)
+        assert scored.tobytes() == logits.tobytes()
 
     def test_variant_fingerprints_distinct(self):
         prints = {

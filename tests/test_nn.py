@@ -11,12 +11,14 @@ from mcfr.nn import (
     _im2col,
     adaptive_avgpool_backward,
     adaptive_avgpool_forward,
+    conv2d,
     conv2d_backward,
     conv2d_forward,
     conv_out_dim,
     fc_backward,
     fc_forward,
     finite_diff_check,
+    maxpool,
     maxpool_backward,
     maxpool_forward,
     relu_backward,
@@ -265,6 +267,77 @@ class TestMaxPoolExact:
         assert cache[1].ravel().tolist() == [5, 8]
         dx = maxpool_backward(np.ones((1, 2, 1, 1)), cache)
         assert dx[0, 0, 1, 2] == 1.0 and dx.sum() == 2.0
+
+
+def _read_only(*arrays):
+    """The arrays, each flagged read-only, so a kernel that writes into its
+    caller's input raises."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestForwardOnlyKernels:
+    """conv2d and maxpool return conv2d_forward's and maxpool_forward's y,
+    to the byte, without writing into their inputs."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "time_view"])
+    @pytest.mark.parametrize("dtypes", [("f8", "f8", "f8"), ("f4", "f4", "f4"),
+                                        ("f4", "f4", "f8"), ("f4", "f8", "f8"),
+                                        ("f8", "f4", "f4")])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (2, 3)])
+    def test_conv2d_matches_conv2d_forward(self, stride, pad, dtypes, layout):
+        rng = np.random.default_rng(10 * stride + pad)
+        c, size, k = 8, 34, 3
+        # conv2d builds its columns for as many samples as fit in 2 MiB:
+        # batches below, at and across that chunk
+        oh = conv_out_dim(size, k, stride, pad)
+        itemsize = np.dtype(dtypes[0]).itemsize
+        step = max(1, (2 << 20) // (c * k * k * oh * oh * itemsize))
+        assert step > 1
+        n_max = 2 * step + 1
+        x = rng.normal(0, 1, size=(n_max, c, size, size)).astype(dtypes[0])
+        if layout == "time_view":  # time as the batch axis, as the event branch runs
+            x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        w = rng.normal(0, 1, size=(5, c, k, k)).astype(dtypes[1])
+        b = rng.normal(0, 1, size=5).astype(dtypes[2])
+        _read_only(x, w, b)
+        for n in (1, step - 1, step, step + 1, n_max):
+            want, _ = conv2d_forward(x[:n], w, b, stride, pad)
+            assert _same_bytes(conv2d(x[:n], w, b, stride, pad), want), n
+
+    def test_conv2d_channel_mismatch(self):
+        with pytest.raises(GeometryError):
+            conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+
+    @pytest.mark.parametrize("dtype", ["f8", "f4"])
+    @pytest.mark.parametrize("kind", ["gauss", "relu", "ties", "zero", "nan"])
+    @pytest.mark.parametrize(
+        "k,stride", [(1, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3)]
+    )
+    def test_maxpool_matches_maxpool_forward(self, k, stride, kind, dtype):
+        rng = np.random.default_rng(10 * k + stride)
+        for shape in ((2, 3, 9, 11), (1, 2, k, k + 2 * stride), (3, 1, 13, 8)):
+            if kind == "nan":
+                x = _pool_input("relu", shape, rng)
+                x[rng.random(shape) < 0.2] = np.nan
+            else:
+                x = _pool_input(kind, shape, rng)
+            (x,) = _read_only(x.astype(dtype))
+            y = maxpool(x, k, stride)
+            assert _same_bytes(y, maxpool_forward(x, k, stride)[0])
+            assert _same_bytes(y, maxpool_oracle(x, k, stride)[0].astype(dtype))
+
+    def test_maxpool_signed_zero_ties(self):
+        for first, rest in ((-0.0, 0.0), (0.0, -0.0)):
+            x = np.full((1, 1, 3, 3), rest)
+            x[0, 0, 0, 0] = first
+            _read_only(x)
+            assert np.signbit(maxpool(x, 3, 1)[0, 0, 0, 0]) == np.signbit(first)
 
 
 class TestSGD:

@@ -275,6 +275,16 @@ class TestSyntheticScene:
         with pytest.raises(ConfigError):
             SceneSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(width=MAX_SENSOR_SIDE + 1),
+                                        dict(height=MAX_SENSOR_SIDE + 1),
+                                        dict(width=0), dict(height=-1)], ids=repr)
+    def test_canvas_outside_the_sensor_side_limit_rejected(self, kwargs):
+        spec = dict(width=8, height=8, object_w=4, object_h=4, frame_count=2)
+        with pytest.raises(ConfigError, match="SceneSpec"):
+            SceneSpec(**{**spec, **kwargs})
+        side = dict(width=MAX_SENSOR_SIDE, height=MAX_SENSOR_SIDE)
+        assert SceneSpec(**{**spec, **side}).width == MAX_SENSOR_SIDE
+
     def test_object_larger_than_canvas_rejected(self):
         with pytest.raises(ConfigError):
             SceneSpec(width=10, height=10, object_w=12, object_h=12)
@@ -320,6 +330,14 @@ class TestFrameSequence:
         frames = (np.zeros((2, 3), np.uint8),) * 2
         with pytest.raises(ValueError, match="timestamp must be an integer"):
             FrameSequence(frames, timestamps)
+
+    @pytest.mark.parametrize("timestamps", [(0, 2**70), (-2**63 - 1, 0), (0, 2**63)])
+    def test_timestamps_outside_int64_rejected(self, timestamps):
+        # the simulator casts frame times to int64: 2**70 became 0 there
+        frames = (np.zeros((4, 4), np.uint8), np.full((4, 4), 200, np.uint8))
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            FrameSequence(frames, timestamps)
+        assert len(FrameSequence(frames, (-2**63, 2**63 - 1))) == 2
 
     def test_numpy_integer_timestamps(self):
         frames = (np.zeros((2, 3), np.uint8),) * 2
