@@ -27,8 +27,10 @@ stride, pad), ("fc", name, w_shape), ("relu",), ("pool", k, stride),
 ("adapt", hw) or ("flat",). `param_shapes` reads the parameter shapes off
 the tables, `_run` walks a table forward and `_run_backward` walks it in
 reverse, so forward, backward and the checkpoint set cannot disagree.
-`_run` is forward-only unless given a list to fill with one cache per
-layer, as `forward` gives it and `features_forward` (scoring) does not. A
+`_run` keeps one cache per layer only when given a list to fill, as
+`forward` gives it and `features_forward` (scoring) does not. Only a max
+pool's cache costs work (its argmax); a conv's cache is its input and
+weight, from which `nn.conv2d_backward` rebuilds the columns. A
 checkpoint holds the config and then those arrays as one f32 run in
 param_shapes order: the config is its table of contents.
 
@@ -61,7 +63,6 @@ from .nn import (
     SGDState,
     adaptive_avgpool_backward,
     adaptive_avgpool_forward,
-    conv2d,
     conv2d_backward,
     conv2d_forward,
     conv_out_dim,
@@ -432,13 +433,13 @@ def _run(x, layers, params, caches=None):
     """Walk a layer table forward; returns y. Given a list, appends one
     cache per layer to it for _run_backward."""
     keep = caches is not None
-    conv = conv2d_forward if keep else lambda *args: (conv2d(*args), None)
     pool = maxpool_forward if keep else lambda *args: (maxpool(*args), None)
     for layer in layers:
         kind = layer[0]
         if kind == "conv":
             _, name, _, stride, pad = layer
-            x, cache = conv(x, params[f"{name}.w"], params[f"{name}.b"], stride, pad)
+            x, cache = conv2d_forward(x, params[f"{name}.w"], params[f"{name}.b"],
+                                      stride, pad)
         elif kind == "fc":
             name = layer[1]
             x, cache = fc_forward(x, params[f"{name}.w"], params[f"{name}.b"])
@@ -492,11 +493,10 @@ def _features(model: MCFRModel, assembled: np.ndarray,
               uee_feat: np.ndarray | None, cache: dict | None = None):
     """Flat features (N,D); a given dict gets one cache list per table."""
     cfg = model.config
+    s = cfg.input_crop
+    if assembled.ndim != 4 or assembled.shape[1:] != (7, s, s):
+        raise GeometryError(f"assembled input {assembled.shape} must be (N,7,{s},{s})")
     n = assembled.shape[0]
-    if assembled.shape[1] != 7 or assembled.shape[2] != cfg.input_crop:
-        raise GeometryError(
-            f"assembled input must be (N,7,{cfg.input_crop},{cfg.input_crop})"
-        )
     if cfg.ablation.use_uee:
         if uee_feat is None:
             raise ConfigError("event branch enabled but uee_feat missing")
@@ -598,7 +598,7 @@ def train_step(
     """One SGD step on the batch for one domain; returns the loss.
 
     The batch is streamed through forward/backward in chunks to bound the
-    im2col working set; gradients accumulate exactly as the mean over the
+    cached activations; gradients accumulate exactly as the mean over the
     whole batch. A non-finite loss or gradient raises NonFiniteError and
     leaves the model and the SGD state as they were.
     """

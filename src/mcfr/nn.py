@@ -64,62 +64,59 @@ def _col2im(cols, x_shape, kh, kw, stride, pad, oh, ow):
     return dx
 
 
-def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
-    """Cross-correlation. x (N,C,H,W), w (O,C,kh,kw), b (O,) -> (N,O,OH,OW).
-
-    Returns (y, cache) where the cache feeds conv2d_backward.
-    """
-    n = x.shape[0]
-    o, c, kh, kw = w.shape
-    if x.shape[1] != c:
-        raise GeometryError(f"conv expects {c} input channels, got {x.shape[1]}")
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    y = np.matmul(w.reshape(o, -1), cols) + b.reshape(1, o, 1)
-    cache = (x.shape, cols, w, stride, pad, oh, ow)
-    return y.reshape(n, o, oh, ow), cache
+def _col_chunks(x, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
+    """Yields (start, _im2col columns of x[start:start + step]) for as many
+    samples at a time as fit in 2 MiB, which stays in cache."""
+    step = max(1, (2 << 20) // (x.shape[1] * kh * kw * oh * ow * x.itemsize))
+    for s in range(0, x.shape[0], step):
+        yield s, _im2col(x[s : s + step], kh, kw, stride, pad)[0]
 
 
 def conv2d(x, w, b, stride: int = 1, pad: int = 0):
-    """conv2d_forward's y, with no cache. The columns are built for as many
-    samples at a time as fit in 2 MiB, which stays in cache; np.matmul runs
-    one gemm per sample either way, so the chunks change no sum."""
-    n = x.shape[0]
+    """Cross-correlation. x (N,C,H,W), w (O,C,kh,kw), b (O,) -> (N,O,OH,OW).
+    np.matmul runs one gemm per sample, so _col_chunks changes no sum."""
     o, c, kh, kw = w.shape
     if x.shape[1] != c:
         raise GeometryError(f"conv expects {c} input channels, got {x.shape[1]}")
     oh = conv_out_dim(x.shape[2], kh, stride, pad)
     ow = conv_out_dim(x.shape[3], kw, stride, pad)
-    y = np.empty((n, o, oh * ow), dtype=np.result_type(x, w))
-    step = max(1, (2 << 20) // (c * kh * kw * oh * ow * x.itemsize))
-    for s in range(0, n, step):
-        np.matmul(w.reshape(o, -1), _im2col(x[s : s + step], kh, kw, stride, pad)[0],
-                  out=y[s : s + step])
-    # in place unless the bias widens the dtype, as conv2d_forward's sum does
+    y = np.empty((len(x), o, oh * ow), dtype=np.result_type(x, w))
+    for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
+        np.matmul(w.reshape(o, -1), cols, out=y[s : s + len(cols)])
+    # in place unless the bias widens the dtype: y + b follows numpy's promotion
     in_place = np.result_type(y, b) == y.dtype
     y = np.add(y, b.reshape(1, o, 1), out=y if in_place else None)
-    return y.reshape(n, o, oh, ow)
+    return y.reshape(len(x), o, oh, ow)
+
+
+def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
+    """(conv2d's y, cache); the cache holds x and w themselves, not their
+    columns, which conv2d_backward builds again chunk by chunk."""
+    return conv2d(x, w, b, stride, pad), (x, w, stride, pad)
 
 
 def conv2d_backward(dy, cache):
     """Gradients (dx, dw, db) of a conv2d_forward call.
 
-    dw is summed as one (O, P) @ (P, K) BLAS product per sample into a
-    single (O, K) buffer. An einsum over the two summed axes (sample and
-    position) runs numpy's own loop instead of BLAS, and one batched
-    matmul would allocate an (N, O, K) temporary before the sum.
+    Walks conv2d's chunks and builds each chunk's columns once. dw sums
+    one (O, P) @ (P, K) BLAS product per sample, in sample order, into
+    one (O, K) buffer: an einsum over both summed axes runs numpy's own
+    loop instead of BLAS, and one batched matmul would allocate an
+    (N, O, K) temporary before the sum.
     """
-    x_shape, cols, w, stride, pad, oh, ow = cache
-    n = x_shape[0]
+    x, w, stride, pad = cache
     o, c, kh, kw = w.shape
-    dy2 = dy.reshape(n, o, oh * ow)
+    oh, ow = dy.shape[2:]
+    dy2 = dy.reshape(x.shape[0], o, oh * ow)
     dw = np.zeros((o, c * kh * kw))
-    for i in range(n):
-        dw += dy2[i] @ cols[i].T
-    dw = dw.reshape(w.shape)
-    db = dy2.sum(axis=(0, 2))
-    dcols = np.matmul(w.reshape(o, -1).T, dy2)
-    dx = _col2im(dcols, x_shape, kh, kw, stride, pad, oh, ow)
-    return dx, dw, db
+    dx = np.empty(x.shape)
+    for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
+        e = s + len(cols)
+        for i, col in enumerate(cols, s):
+            dw += dy2[i] @ col.T
+        dcols = np.matmul(w.reshape(o, -1).T, dy2[s:e])
+        dx[s:e] = _col2im(dcols, x[s:e].shape, kh, kw, stride, pad, oh, ow)
+    return dx, dw.reshape(w.shape), dy2.sum(axis=(0, 2))
 
 
 def relu_forward(x):

@@ -9,7 +9,7 @@ pass: every event gets a cell index (polarity plane, row, column) into a
 Binary dump format: magic "MCST", u32 width, u32
 height (each a sensor side as mcfr.errors defines it), u64 t0, u64 t1
 (little-endian), then four planes of 32-bit IEEE-754 little-endian floats
-in the order c_pos, c_neg, t_pos, t_neg.
+in [0, 1], in the order c_pos, c_neg, t_pos, t_neg.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def assemble_input(rgb: np.ndarray, f: StackedFrame) -> np.ndarray:
 
 
 def save_stacked(f: StackedFrame, path) -> None:
-    if f.window.t0 < 0:
-        raise McfrError("dump format stores unsigned window bounds")
+    if f.window.t0 < 0 or f.window.t1 >= 1 << 64:
+        raise McfrError(f"dump format stores window bounds as u64, got {f.window}")
     norm = normalize_stacked(f)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -109,4 +109,7 @@ def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     if len(data) != need:
         raise McfrError(f"{path}: expected {need} bytes, got {len(data)}")
     planes = np.frombuffer(data, dtype="<f4", offset=28).reshape(4, height, width)
+    # min and max, not a mask: NaN propagates through both and fails the test
+    if not (planes.min() >= 0.0 and planes.max() <= 1.0):
+        raise McfrError(f"{path}: plane values outside [0, 1]")
     return planes.copy(), TimeWindow(int(t0), int(t1)), int(width), int(height)

@@ -267,6 +267,30 @@ def conv2d_backward_oracle(dy, x, w, stride=1, pad=0):
     return dx, dw, db
 
 
+def conv2d_backward_batch_oracle(dy, x, w, stride=1, pad=0):
+    """conv2d_backward as the library ran it when conv2d_forward cached the
+    columns of the whole batch: one im2col, one BLAS product per sample
+    summed into dw in sample order, one batched matmul for the column
+    gradients and one scatter-add over kernel offsets. The chunked
+    library must match it to the bit."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    cols, oh, ow = im2col_oracle(x, kh, kw, stride, pad)
+    dy2 = dy.reshape(n, o, oh * ow)
+    dw = np.zeros((o, c * kh * kw))
+    for i in range(n):
+        dw += dy2[i] @ cols[i].T
+    blocks = np.matmul(w.reshape(o, -1).T, dy2).reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            ys = slice(i, i + stride * oh, stride)
+            xs = slice(j, j + stride * ow, stride)
+            dxp[:, :, ys, xs] += blocks[:, :, i, j]
+    dx = dxp[:, :, pad : pad + h, pad : pad + wd]
+    return dx, dw.reshape(w.shape), dy2.sum(axis=(0, 2))
+
+
 # -- model initialisation and the full backward pass ------------------------
 
 

@@ -43,7 +43,7 @@ from mcfr.nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from .oracles import im2col_oracle, initialize_oracle, network_backward_oracle
+from .oracles import initialize_oracle, network_backward_oracle
 from .strategies import corrupted
 
 
@@ -62,15 +62,10 @@ def rand_inputs(config, n, seed=0):
 CFE_ONLY = MCFRConfig.tiny().with_ablation("er")
 
 
-def tau_output_cols(model, x7):
-    """The im2col columns the first CFE conv took from tau's output."""
+def tau_output(model, x7):
+    """tau's output, as the first CFE conv cached its input for backward."""
     _, cache = forward(model, x7, None, 0)
-    return cache["feat"]["cfe"][1][1]  # layer 0 is tau, layer 1 the first CFE conv
-
-
-def expect_cols(model, tau_out):
-    spec = model.config.cfe[0]
-    return im2col_oracle(tau_out, spec.kernel, spec.kernel, spec.stride, spec.padding)[0]
+    return cache["feat"]["cfe"][1][0]  # layer 0 is tau, layer 1 the first CFE conv
 
 
 def uer_output(model, rgb):
@@ -113,21 +108,20 @@ class TestTau:
         model.params["tau.w"] = w
         model.params["tau.b"][:] = 0.0
         x = np.random.default_rng(1).random((2, 7, 19, 19))
-        y = tau_output_cols(model, x)
-        assert np.allclose(y, expect_cols(model, x[:, :3]))
+        assert np.allclose(tau_output(model, x), x[:, :3])
 
     def test_zero_weights(self):
         model = MCFRModel.initialize(CFE_ONLY, seed=0)
         model.params["tau.w"] = np.zeros_like(model.params["tau.w"])
         model.params["tau.b"][:] = 0.0
         x = np.random.default_rng(2).random((1, 7, 19, 19))
-        assert not tau_output_cols(model, x).any()
+        assert not tau_output(model, x).any()
 
     def test_matches_pointwise_matrix_oracle(self):
         model = MCFRModel.initialize(CFE_ONLY, seed=3)
         rng = np.random.default_rng(4)
         x = rng.random((2, 7, 19, 19))
-        y = tau_output_cols(model, x)
+        y = tau_output(model, x)
         w = model.params["tau.w"][:, :, 0, 0]  # (3, 7)
         b = model.params["tau.b"]
         expect = np.empty((2, 3, 19, 19))
@@ -135,7 +129,7 @@ class TestTau:
             for i in range(19):
                 for j in range(19):
                     expect[n, :, i, j] = w @ x[n, :, i, j] + b
-        assert np.allclose(y, expect_cols(model, expect), atol=1e-12)
+        assert np.allclose(y, expect, atol=1e-12)
 
 
 def cfe_blocks(config):
@@ -232,6 +226,18 @@ class TestFusion:
         assembled, uee_feat = rand_inputs(config, 1)
         with pytest.raises(ConfigError):
             forward(model, assembled, uee_feat, domain=2)
+
+    @pytest.mark.parametrize("variant", ["full", "er"])
+    @pytest.mark.parametrize("shape", [(2, 7, 19, 22), (2, 7, 19, 25), (2, 7, 22, 19),
+                                       (2, 6, 19, 19), (2, 7, 19, 19, 1), (7, 19, 19)])
+    def test_assembled_geometry_refused(self, shape, variant):
+        config = MCFRConfig.tiny().with_ablation(variant)
+        model = MCFRModel.initialize(config, seed=0)
+        _, uee_feat = rand_inputs(config, 2)
+        x = np.zeros(shape)
+        for run in (features_forward, lambda *args: forward(*args, 0)):
+            with pytest.raises(GeometryError, match="assembled input"):
+                run(model, x, uee_feat)
 
     def test_fusion_width_tracks_enabled_branches(self):
         base = MCFRConfig.tiny()

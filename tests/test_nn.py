@@ -29,6 +29,7 @@ from mcfr.nn import (
 )
 
 from .oracles import (
+    conv2d_backward_batch_oracle,
     conv2d_backward_oracle,
     conv2d_oracle,
     im2col_oracle,
@@ -281,9 +282,15 @@ def _same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _conv_chunk_step(c, k, oh, dtype):
+    """Samples per im2col chunk of nn._col_chunks for a square output."""
+    return max(1, (2 << 20) // (c * k * k * oh * oh * np.dtype(dtype).itemsize))
+
+
 class TestForwardOnlyKernels:
     """conv2d and maxpool return conv2d_forward's and maxpool_forward's y,
-    to the byte, without writing into their inputs."""
+    to the byte, without writing into their inputs; conv2d also matches
+    the output of one whole-batch im2col."""
 
     @pytest.mark.parametrize("layout", ["contiguous", "time_view"])
     @pytest.mark.parametrize("dtypes", [("f8", "f8", "f8"), ("f4", "f4", "f4"),
@@ -295,9 +302,7 @@ class TestForwardOnlyKernels:
         c, size, k = 8, 34, 3
         # conv2d builds its columns for as many samples as fit in 2 MiB:
         # batches below, at and across that chunk
-        oh = conv_out_dim(size, k, stride, pad)
-        itemsize = np.dtype(dtypes[0]).itemsize
-        step = max(1, (2 << 20) // (c * k * k * oh * oh * itemsize))
+        step = _conv_chunk_step(c, k, conv_out_dim(size, k, stride, pad), dtypes[0])
         assert step > 1
         n_max = 2 * step + 1
         x = rng.normal(0, 1, size=(n_max, c, size, size)).astype(dtypes[0])
@@ -309,6 +314,7 @@ class TestForwardOnlyKernels:
         for n in (1, step - 1, step, step + 1, n_max):
             want, _ = conv2d_forward(x[:n], w, b, stride, pad)
             assert _same_bytes(conv2d(x[:n], w, b, stride, pad), want), n
+            assert _same_bytes(want, conv2d_oracle(x[:n], w, b, stride, pad)), n
 
     def test_conv2d_channel_mismatch(self):
         with pytest.raises(GeometryError):
@@ -338,6 +344,42 @@ class TestForwardOnlyKernels:
             x[0, 0, 0, 0] = first
             _read_only(x)
             assert np.signbit(maxpool(x, 3, 1)[0, 0, 0, 0]) == np.signbit(first)
+
+
+class TestConvBackwardChunks:
+    """conv2d_forward caches its input, and conv2d_backward rebuilds the
+    columns in conv2d's chunks; the gradients match the whole-batch
+    backward to the byte."""
+
+    @pytest.mark.parametrize("dy_layout", ["contiguous", "channel_slice"])
+    @pytest.mark.parametrize("dtype", ["f8", "f4"])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0), (2, 1), (1, 2)])
+    def test_matches_whole_batch_oracle(self, stride, pad, dtype, dy_layout):
+        rng = np.random.default_rng(10 * stride + pad)
+        c, size, k, o = 8, 34, 3, 5
+        oh = conv_out_dim(size, k, stride, pad)
+        step = _conv_chunk_step(c, k, oh, dtype)
+        assert step > 1
+        n_max = 2 * step + 1
+        x = rng.normal(0, 1, size=(n_max, c, size, size)).astype(dtype)
+        w = rng.normal(0, 1, size=(o, c, k, k))
+        dy = rng.normal(0, 1, size=(n_max, o + 3, oh, oh))
+        # a channel slice, as network.backward hands each branch its segment
+        dy = dy[:, 2 : 2 + o] if dy_layout == "channel_slice" else dy[:, :o].copy()
+        _read_only(x, w, dy)
+        for n in (1, step - 1, step, step + 1, n_max):
+            _, cache = conv2d_forward(x[:n], w, np.zeros(o), stride, pad)
+            got = conv2d_backward(dy[:n], cache)
+            want = conv2d_backward_batch_oracle(dy[:n], x[:n], w, stride, pad)
+            for name, a, b in zip(("dx", "dw", "db"), got, want):
+                assert _same_bytes(a, b), (name, n)
+
+    def test_cache_holds_the_input_and_weight_only(self):
+        x = np.zeros((2, 3, 9, 9))
+        w = np.zeros((4, 3, 3, 3))
+        _, cache = conv2d_forward(x, w, np.zeros(4), 2, 1)
+        assert cache[0] is x and cache[1] is w
+        assert sum(isinstance(a, np.ndarray) for a in cache) == 2
 
 
 class TestSGD:

@@ -142,6 +142,34 @@ class TestStackedDump:
         with pytest.raises(McfrError):
             load_stacked(path)
 
+    @pytest.mark.parametrize("window", [TimeWindow(0, 2**64), TimeWindow(-1, 10),
+                                        TimeWindow(2**64, 2**64 + 1)])
+    def test_bound_outside_u64_refused_before_the_file_is_opened(self, tmp_path, window):
+        f = stack_events(EventStream.empty(4, 4), window)
+        path = tmp_path / "frame.mcst"
+        with pytest.raises(McfrError, match="u64"):
+            save_stacked(f, path)
+        assert not path.exists()
+
+    def test_largest_u64_bound_round_trips(self, tmp_path):
+        window = TimeWindow(0, 2**64 - 1)
+        path = tmp_path / "frame.mcst"
+        save_stacked(stack_events(EventStream.empty(4, 4), window), path)
+        assert load_stacked(path)[1] == window
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("offset", [28, -4])
+    def test_plane_value_outside_unit_interval_refused(self, tmp_path, value, offset):
+        # the first and the last value of the four planes
+        path = tmp_path / "frame.mcst"
+        save_stacked(stack_events(EventStream.empty(3, 2), TimeWindow(0, 10)), path)
+        data = bytearray(path.read_bytes())
+        at = offset % len(data)
+        data[at : at + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(McfrError, match=r"outside \[0, 1\]"):
+            load_stacked(path)
+
     @pytest.mark.parametrize("width,height,t0,t1,message", [
         (3, 2, 10, 5, r"inverted window \[10, 5\)"),
         (3, 2, 7, 7, r"inverted window \[7, 7\)"),
