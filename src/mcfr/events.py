@@ -8,8 +8,8 @@ so read-only concurrent use is safe.
 File format: optional comment lines starting with "#". The line
 "# t_us,x,y,p" is the column header; a comment of two integers
 "# <width>,<height>" is the sensor-geometry sidecar (each side at most
-MAX_SENSOR_SIDE). Every data line is "t,x,y,p", t non-decreasing. In both,
-every field follows the integer text grammar stated in mcfr.errors.
+errors.MAX_SENSOR_SIDE). Every data line is "t,x,y,p", t non-decreasing.
+In both, every field follows the integer text grammar stated in mcfr.errors.
 
 Reading takes one of two paths to the same result. The fast path reads the
 leading "#" lines, then the rest of the file in blocks of whole lines. A
@@ -34,7 +34,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import EventParseError, GeometryError, McfrError, decimal_int, require_side
-from .errors import MAX_SENSOR_SIDE  # noqa: F401  (re-exported: the format's side cap)
 
 # The bytes a data line may hold on the fast read path.
 _PLAIN = b"0123456789,-\n"

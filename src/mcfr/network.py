@@ -22,14 +22,17 @@ The differentiable path is written down once, as ordered layer tables
 constants, "cfe" is tau then the CFE blocks, "uer" the UER blocks plus
 an adaptive average pool when their output misses feature_hw, "fusion"
 the fusion conv, its ReLU and the flattening, and "head" fc4, ReLU, fc5,
-ReLU, fc6^domain. A layer is a plain tuple: ("conv", name, w_shape,
-stride, pad), ("fc", name, w_shape), ("relu",), ("pool", k, stride),
-("adapt", hw) or ("flat",). `param_shapes` reads the parameter shapes off
-the tables, `_run` walks a table forward and `_run_backward` walks it in
-reverse, so forward, backward and the checkpoint set cannot disagree.
-`_run` keeps one cache per layer only when given a list to fill, as
-`forward` gives it and `features_forward` (scoring) does not. Only a max
-pool's cache costs work (its argmax); a conv's cache is its input and
+ReLU, fc6^domain. A block is a conv, a max pool when it pools, then ReLU:
+as ReLU is monotone, pooling first gives the same values and gradients,
+and ReLU and its mask cover only the pooled cells. A layer is a plain
+tuple: ("conv", name, w_shape, stride, pad), ("fc", name, w_shape),
+("relu",), ("pool", k, stride), ("adapt", hw) or ("flat",). `param_shapes`
+reads the parameter shapes off the tables, `_run` walks a table forward
+and `_run_backward` walks it in reverse, so forward, backward and the
+checkpoint set cannot disagree. `_run` keeps one cache per layer only when
+given a list to fill, as `forward` gives it and `features_forward`
+(scoring) does not; `_run_backward` pops each one as it uses it. Only a
+max pool's cache costs work (its argmax); a conv's cache is its input and
 weight, from which `nn.conv2d_backward` rebuilds the columns. A
 checkpoint holds the config and then those arrays as one f32 run in
 param_shapes order: the config is its table of contents.
@@ -90,7 +93,7 @@ def _require_ints(spec, names: tuple[str, ...], minimum: int) -> None:
 
 @dataclass(frozen=True)
 class ConvBlockSpec:
-    """One conv(+ReLU)(+max-pool) stage."""
+    """One conv(+max-pool)(+ReLU) stage; pool = 0 means no max pool."""
 
     out_channels: int
     kernel: int
@@ -296,14 +299,14 @@ class MCFRConfig:
 
 
 def _conv_blocks(prefix: str, blocks, in_c: int) -> list[tuple]:
-    """Conv, ReLU and (when the block pools) max-pool layers of a stack."""
+    """Conv, max-pool (when the block pools) and ReLU layers of a stack."""
     layers = []
     for i, block in enumerate(blocks):
         w_shape = (block.out_channels, in_c, block.kernel, block.kernel)
-        layers += [("conv", f"{prefix}.{i}", w_shape, block.stride, block.padding),
-                   ("relu",)]
+        layers.append(("conv", f"{prefix}.{i}", w_shape, block.stride, block.padding))
         if block.pool:
             layers.append(("pool", block.pool, block.pool_stride))
+        layers.append(("relu",))
         in_c = block.out_channels
     return layers
 
@@ -456,28 +459,29 @@ def _run(x, layers, params, caches=None):
     return x
 
 
-def _run_backward(dy, layers, caches, params, grads):
-    """Walk a layer table in reverse from the output gradient dy, storing
-    each conv and fc parameter gradient in grads; returns the input
-    gradient."""
-    for layer, cache in zip(reversed(layers), reversed(caches)):
+def _run_backward(dy, layers, caches, params, grads, need_dx: bool = True):
+    """Walk a layer table in reverse from the output gradient dy, popping
+    each cache as it is used and storing conv and fc parameter gradients in
+    grads; returns the input gradient, or None without need_dx."""
+    for i, layer in reversed([*enumerate(layers)]):
         kind = layer[0]
         if kind == "conv":
             name = layer[1]
-            dy, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(dy, cache)
+            dy, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
+                dy, caches.pop(), need_dx or i > 0)
         elif kind == "fc":
             name = layer[1]
             dy, grads[f"{name}.w"], grads[f"{name}.b"] = fc_backward(
-                dy, cache, params[f"{name}.w"]
+                dy, caches.pop(), params[f"{name}.w"]
             )
         elif kind == "relu":
-            dy = relu_backward(dy, cache)
+            dy = relu_backward(dy, caches.pop())
         elif kind == "pool":
-            dy = maxpool_backward(dy, cache)
+            dy = maxpool_backward(dy, caches.pop())
         elif kind == "adapt":
-            dy = adaptive_avgpool_backward(dy, cache)
+            dy = adaptive_avgpool_backward(dy, caches.pop())
         else:  # flat
-            dy = dy.reshape(cache)
+            dy = dy.reshape(caches.pop())
     return dy
 
 
@@ -547,7 +551,8 @@ def forward(model: MCFRModel, assembled, uee_feat, domain: int):
 
 def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
     """Full-path gradients for every trainable parameter reached from the
-    loss; the event branch receives none by construction."""
+    loss; the event branch receives none by construction. It empties each
+    cache list as it goes and builds no gradient for the data (tau, uer.0)."""
     fc_cache, feat_cache = cache["fc"], cache["feat"]
     tables = _layers(model.config, fc_cache["domain"])
     grads: dict[str, np.ndarray] = {}
@@ -557,7 +562,7 @@ def backward(model: MCFRModel, cache: dict, dlogits: np.ndarray):
     offset = 0
     for name, width in model.config.branch_channels.items():
         _run_backward(dconcat[:, offset : offset + width], tables[name],
-                      feat_cache[name], model.params, grads)
+                      feat_cache[name], model.params, grads, need_dx=False)
         offset += width
     return grads
 

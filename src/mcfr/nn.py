@@ -95,8 +95,8 @@ def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
     return conv2d(x, w, b, stride, pad), (x, w, stride, pad)
 
 
-def conv2d_backward(dy, cache):
-    """Gradients (dx, dw, db) of a conv2d_forward call.
+def conv2d_backward(dy, cache, need_dx: bool = True):
+    """Gradients (dx, dw, db) of a conv2d_forward call; dx is None without need_dx.
 
     Walks conv2d's chunks and builds each chunk's columns once. dw sums
     one (O, P) @ (P, K) BLAS product per sample, in sample order, into
@@ -109,13 +109,14 @@ def conv2d_backward(dy, cache):
     oh, ow = dy.shape[2:]
     dy2 = dy.reshape(x.shape[0], o, oh * ow)
     dw = np.zeros((o, c * kh * kw))
-    dx = np.empty(x.shape)
+    dx = np.empty(x.shape) if need_dx else None
     for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
         e = s + len(cols)
         for i, col in enumerate(cols, s):
             dw += dy2[i] @ col.T
-        dcols = np.matmul(w.reshape(o, -1).T, dy2[s:e])
-        dx[s:e] = _col2im(dcols, x[s:e].shape, kh, kw, stride, pad, oh, ow)
+        if need_dx:
+            dcols = np.matmul(w.reshape(o, -1).T, dy2[s:e])
+            dx[s:e] = _col2im(dcols, x[s:e].shape, kh, kw, stride, pad, oh, ow)
     return dx, dw.reshape(w.shape), dy2.sum(axis=(0, 2))
 
 
@@ -156,7 +157,7 @@ def maxpool_forward(x, k: int = 3, stride: int = 2):
 
     The cache routes each window's gradient to its first cell, in
     row-major order, that equals the max: np.argmax's tie rule, so a
-    window of ReLU zeros routes to its top-left cell. That cell's offset
+    window of equal cells routes to its top-left cell. That cell's offset
     in the window is stored as uint8 (k <= 16), one byte per output. x
     itself is not cached: keeping it for a lazy argmax would hold one
     float64 array per pooled layer until backward and raise a training

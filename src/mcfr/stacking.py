@@ -56,15 +56,20 @@ def normalize_stacked(f: StackedFrame) -> np.ndarray:
     """(4, H, W) float64 in [0, 1].
 
     Counts are divided by the frame-wide maximum count (min 1); timestamps
-    map to (t - t0)/(t1 - t0) where an event exists and 0 elsewhere.
+    map to (t - t0)/(t1 - t0) where an event exists and 0 elsewhere. Event
+    times are int64, so t0 is clamped to int64, which moves no offset that
+    fits int64; one that does not wraps negative and raises McfrError.
     """
     denom = max(1, int(max(f.c_pos.max(), f.c_neg.max())))
     span = float(f.window.duration)
+    t0 = min(max(f.window.t0, -(1 << 63)), (1 << 63) - 1)
     out = np.zeros((4, f.height, f.width), dtype=np.float64)
     out[0] = f.c_pos / denom
     out[1] = f.c_neg / denom
-    out[2] = np.where(f.c_pos > 0, (f.t_pos - f.window.t0) / span, 0.0)
-    out[3] = np.where(f.c_neg > 0, (f.t_neg - f.window.t0) / span, 0.0)
+    out[2] = np.where(f.c_pos > 0, (f.t_pos - t0) / span, 0.0)
+    out[3] = np.where(f.c_neg > 0, (f.t_neg - t0) / span, 0.0)
+    if (out[2:] < 0).any():
+        raise McfrError(f"event offsets in {f.window} exceed the int64 range")
     return out
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr import events
-from mcfr.errors import EventParseError, GeometryError, McfrError
+from mcfr.errors import MAX_SENSOR_SIDE, EventParseError, GeometryError, McfrError
 from mcfr.events import (
-    MAX_SENSOR_SIDE,
     Event,
     EventStream,
     TimeWindow,

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mcfr.errors import ConfigError, GeometryError, McfrError, require_side
-from mcfr.events import MAX_SENSOR_SIDE, load_events
+from mcfr.errors import MAX_SENSOR_SIDE, ConfigError, GeometryError, McfrError, require_side
+from mcfr.events import load_events
 from mcfr.frames import FrameSequence, load_sequence, read_netpbm, save_sequence
 from mcfr.stacking import load_stacked
 

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcfr import network
 from mcfr.errors import (
+    MAX_SENSOR_SIDE,
     CheckpointError,
     ConfigError,
     GeometryError,
     McfrError,
     NonFiniteError,
 )
-from mcfr.events import MAX_SENSOR_SIDE
 from mcfr.network import (
     ABLATION_VARIANTS,
     CHECKPOINT_VERSION,
@@ -39,6 +40,8 @@ from mcfr.network import (
 from mcfr.nn import (
     SGDConfig,
     SGDState,
+    conv2d_backward,
+    conv2d_forward,
     finite_diff_check,
     softmax_ce_backward,
     softmax_ce_forward,
@@ -464,6 +467,150 @@ class TestEndToEndGradients:
                 grads[name], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
                 err_msg=name,
             )
+
+
+def _relu_then_pool(tables):
+    """The layer tables with each ("pool", k, stride), ("relu",) pair swapped
+    back to ReLU then pool, the order the blocks ran in before."""
+    swapped = {}
+    for name, table in tables.items():
+        table = list(table)
+        for i in range(len(table) - 1):
+            if table[i][0] == "pool" and table[i + 1] == ("relu",):
+                table[i : i + 2] = table[i + 1], table[i]
+        swapped[name] = table
+    return swapped
+
+
+def tie_heavy_case(config, seed=0):
+    """A model with weights rounded to halves and biases of -0.5, 0 or 0.5,
+    and four samples: all zero, half zero, all negative with -0.0 columns,
+    and values rounded to halves; event features rounded to halves. The
+    pooled conv outputs then hold exact ties, runs of equal negative
+    values and windows whose max is 0. No bias is -0.0: SGD from the zero
+    init never makes one."""
+    rng = np.random.default_rng(seed)
+    model = MCFRModel.initialize(config, seed=seed)
+    for name, p in model.params.items():
+        if name.endswith(".b"):
+            p[...] = rng.choice([-0.5, 0.0, 0.5], p.shape)
+        elif not name.startswith("uee."):
+            p[...] = np.round(2 * p) / 2
+    assembled, uee_feat = rand_inputs(config, 4, seed=seed)
+    assembled = np.round(4 * assembled - 2) / 2
+    assembled[0] = 0.0
+    assembled[1, :, : config.input_crop // 2] = 0.0
+    assembled[2] = -np.abs(assembled[2]) - 0.5
+    assembled[2, :, :, ::3] = -0.0
+    if uee_feat is not None:
+        uee_feat = np.round(2 * uee_feat) / 2
+    return model, assembled, uee_feat
+
+
+class TestTrainingKeepsOnlyWhatBackwardNeeds:
+    """Pooling before ReLU, no input gradient for the data and a backward
+    that consumes its caches change no output: features, logits, every
+    gradient, train_step losses, parameters and SGD velocities match the
+    conv -> ReLU -> pool tables to the byte, signs of zeros included."""
+
+    def test_every_pool_precedes_its_relu(self):
+        for table in _layers(MCFRConfig()).values():
+            for a, b in zip(table, table[1:]):
+                assert not (a == ("relu",) and b[0] == "pool")
+                assert b == ("relu",) or a[0] != "pool"
+
+    def test_inputs_pool_zeros_of_either_sign(self):
+        # the two orders give the first pooled block the same values but not
+        # the same zeros: ReLU-then-pool keeps the first cell's -0.0 where
+        # pool-then-ReLU keeps the window's max, +0.0
+        config = MCFRConfig.reduced()
+        model, assembled, _ = tie_heavy_case(config)
+        cfe = _layers(config)["cfe"]
+        tau = _run(assembled, cfe[:1], model.params)
+        now = _run(tau, cfe[1:4], model.params)
+        before = _run(tau, _relu_then_pool({"cfe": cfe})["cfe"][1:4], model.params)
+        assert cfe[2][0] == "pool"
+        assert np.array_equal(now, before)
+        assert now.tobytes() != before.tobytes()
+
+    @staticmethod
+    def outputs(model, assembled, uee_feat):
+        labels = np.array([1, 0, 1, 0])
+        feat, _ = features_forward(model, assembled, uee_feat)
+        logits, cache = forward(model, assembled, uee_feat, 0)
+        _, ce_cache = softmax_ce_forward(logits, labels)
+        grads = backward(model, cache, softmax_ce_backward(ce_cache))
+        out = {"feat": feat, "logits": logits,
+               **{f"grad {k}": g for k, g in grads.items()}}
+        trained, state = model.copy(), SGDState()
+        batch = TrainBatch(assembled, uee_feat, labels)
+        for step in range(2):
+            out[f"loss {step}"] = np.float64(
+                train_step(trained, batch, 0, default_sgd_config(), state, chunk=3))
+        out.update((f"param {k}", p) for k, p in trained.params.items())
+        out.update((f"velocity {k}", v) for k, v in state.velocity.items())
+        return out
+
+    @pytest.mark.parametrize("scale,variant", [
+        ("reduced", "full"), ("reduced", "no-cfe"), ("reduced", "oe"),
+        ("reduced", "c"), ("paper", "full"),
+    ])
+    @pytest.mark.parametrize("tie_heavy", [True, False], ids=["ties", "random"])
+    def test_matches_relu_then_pool(self, monkeypatch, scale, variant, tie_heavy):
+        base = MCFRConfig.reduced() if scale == "reduced" else MCFRConfig()
+        config = base.with_ablation(variant)
+        if tie_heavy:
+            model, assembled, uee_feat = tie_heavy_case(config)
+        else:
+            model = MCFRModel.initialize(config, seed=1)
+            assembled, uee_feat = rand_inputs(config, 4, seed=2)
+        got = self.outputs(model, assembled, uee_feat)
+        monkeypatch.setattr(network, "_layers",
+                            lambda cfg, domain=0: _relu_then_pool(_layers(cfg, domain)))
+        want = self.outputs(model, assembled, uee_feat)
+        assert got.keys() == want.keys()
+        for name, a in want.items():
+            assert got[name].dtype == a.dtype and got[name].shape == a.shape, name
+            assert got[name].tobytes() == a.tobytes(), name
+
+    def test_backward_empties_every_cache_list(self):
+        config = MCFRConfig.reduced()
+        model = MCFRModel.initialize(config, seed=0)
+        assembled, uee_feat = rand_inputs(config, 2)
+        logits, cache = forward(model, assembled, uee_feat, 0)
+        lists = [*cache["feat"].values(), cache["fc"]["head"]]
+        assert sum(map(len, lists)) > 20
+        _, ce_cache = softmax_ce_forward(logits, np.array([1, 0]))
+        backward(model, cache, softmax_ce_backward(ce_cache))
+        assert all(caches == [] for caches in lists)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0), (2, 1)])
+    def test_conv_backward_without_dx(self, stride, pad):
+        # a batch across conv2d's column chunks, as tau and uer.0 see it
+        rng = np.random.default_rng(stride + pad)
+        x = rng.normal(0, 1, size=(40, 7, 23, 23))
+        w = rng.normal(0, 1, size=(5, 7, 3, 3))
+        y, cache = conv2d_forward(x, w, np.zeros(5), stride, pad)
+        dy = rng.normal(0, 1, size=y.shape)
+        dx, dw, db = conv2d_backward(dy, cache)
+        no_dx, dw_only, db_only = conv2d_backward(dy, cache, need_dx=False)
+        assert dx is not None and no_dx is None
+        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+
+    def test_train_step_peak_memory(self):
+        # 64 reduced crops, the batch of a tracker's update: the step may
+        # hold at most twice the batch's own bytes beside the batch
+        config = MCFRConfig.reduced()
+        model = MCFRModel.initialize(config, seed=0)
+        assembled, uee_feat = rand_inputs(config, 64)
+        batch = TrainBatch(assembled, uee_feat, np.arange(64) % 2)
+        tracemalloc.start()
+        try:
+            train_step(model, batch, 0, default_sgd_config(), SGDState())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (assembled.nbytes + uee_feat.nbytes)
 
 
 class TestCheckpoint:

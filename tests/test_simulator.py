@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import ConfigError, GeometryError, McfrError
-from mcfr.events import MAX_SENSOR_SIDE
+from mcfr.errors import MAX_SENSOR_SIDE, ConfigError, GeometryError, McfrError
 from mcfr.frames import (
     FrameSequence,
     load_groundtruth,

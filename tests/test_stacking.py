@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import GeometryError, McfrError
-from mcfr.events import MAX_SENSOR_SIDE, Event, EventStream, TimeWindow
+from mcfr.errors import MAX_SENSOR_SIDE, GeometryError, McfrError
+from mcfr.events import Event, EventStream, TimeWindow
 from mcfr.stacking import (
     assemble_input,
     load_stacked,
@@ -93,6 +93,56 @@ class TestNormalize:
         s = random_stream(rng, 1000, 8, 8, 1000)
         norm = normalize_stacked(stack_events(s, TimeWindow(0, 1000)))
         assert norm.min() >= 0.0 and norm.max() <= 1.0
+
+
+class TestWindowBoundsPastInt64:
+    """Event times are int64, so a window from 2**63 on holds no event, and
+    an event offset t - t0 past int64 is refused; every other window keeps
+    the planes of the plain int64 offsets."""
+
+    def test_window_past_int64_dumps_empty_planes(self, tmp_path):
+        window = TimeWindow(2**63, 2**63 + 1)
+        f = stack_events(EventStream.empty(4, 4), window)
+        path = tmp_path / "frame.mcst"
+        save_stacked(f, path)
+        planes, loaded, _, _ = load_stacked(path)
+        assert loaded == window and not planes.any()
+        assert not assemble_input(np.ones((3, 4, 4)), f)[3:].any()
+
+    @pytest.mark.parametrize("t0", [2**63, 2**64, -(2**63) - 1, -(2**70)])
+    def test_window_without_events_is_all_zero(self, t0):
+        s = make_stream([(1, 1, 5, 1), (2, 2, 2**62, -1)])
+        f = stack_events(s, TimeWindow(t0, 2**71) if t0 > 0 else TimeWindow(t0, 5))
+        assert not normalize_stacked(f).any()
+
+    @pytest.mark.parametrize("window", [TimeWindow(-(2**63), 10),
+                                        TimeWindow(-(2**63) - 1, 10),
+                                        TimeWindow(-(2**62) - 1, 2**62)])
+    def test_offset_past_int64_refused(self, window):
+        f = stack_events(make_stream([(1, 1, 5, 1), (2, 2, 2**62 - 1, 1)]), window)
+        with pytest.raises(McfrError, match="int64"):
+            normalize_stacked(f)
+        with pytest.raises(McfrError, match="int64"):
+            assemble_input(np.zeros((3, 4, 4)), f)
+
+    @pytest.mark.parametrize("t0,t1", [(0, 1000), (-500, 1000), (2**62, 2**63),
+                                       (-(2**62), 2**62), (2**63 - 1000, 2**64),
+                                       (1 - 2**63, 1)])
+    def test_other_windows_keep_int64_offsets(self, t0, t1):
+        rng = np.random.default_rng(7)
+        lo, hi = max(t0, 0), min(t1, 2**63)
+        t = np.sort(rng.integers(lo, hi, size=200, dtype=np.int64, endpoint=False))
+        s = EventStream(t, rng.integers(0, 5, 200), rng.integers(0, 3, 200),
+                        rng.choice([-1, 1], 200), 5, 3)
+        f = stack_events(s, TimeWindow(t0, t1))
+        span = float(t1 - t0)
+        want = np.stack([
+            f.c_pos / max(1, f.c_pos.max(), f.c_neg.max()),
+            f.c_neg / max(1, f.c_pos.max(), f.c_neg.max()),
+            np.where(f.c_pos > 0, (f.t_pos - np.int64(t0)) / span, 0.0),
+            np.where(f.c_neg > 0, (f.t_neg - np.int64(t0)) / span, 0.0),
+        ])
+        assert normalize_stacked(f).tobytes() == want.tobytes()
 
 
 class TestAssembleInput:
