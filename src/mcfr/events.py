@@ -54,6 +54,8 @@ _COLUMNS = (("t", np.int64), ("x", np.int32), ("y", np.int32), ("p", np.int8))
 # Events formatted per call when writing: the Python ints of one chunk take
 # a few MB, and the per-call cost is spread over 32k lines.
 _WRITE_CHUNK = 1 << 15
+# The range of an event time.
+_INT64 = np.iinfo(np.int64)
 
 
 class Event(NamedTuple):
@@ -177,9 +179,18 @@ class EventStream:
 
 def slice_window(stream: EventStream, window: TimeWindow) -> EventStream:
     """Events with t0 <= t < t1, original order preserved."""
-    lo = int(np.searchsorted(stream.t, window.t0, side="left"))
-    hi = int(np.searchsorted(stream.t, window.t1, side="left"))
-    return stream._slice(lo, hi)
+    return stream._slice(_first_at(stream.t, window.t0), _first_at(stream.t, window.t1))
+
+
+def _first_at(t: np.ndarray, bound) -> int:
+    """Index of the first time >= bound. np.searchsorted would compare a
+    bound outside int64 as float64, where 2**63 - 1 rounds to 2**63, so such
+    a bound maps to the end (above) or the start (below) of the stream."""
+    if bound > _INT64.max:
+        return len(t)
+    if bound < _INT64.min:
+        return 0
+    return int(np.searchsorted(t, bound, side="left"))
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:

@@ -42,10 +42,10 @@ from mcfr.nn import (
     SGDState,
     conv2d_backward,
     conv2d_forward,
-    finite_diff_check,
     softmax_ce_backward,
     softmax_ce_forward,
 )
+from .gradcheck import finite_diff_check
 from .oracles import initialize_oracle, network_backward_oracle
 from .strategies import corrupted
 

@@ -17,7 +17,6 @@ from mcfr.nn import (
     conv_out_dim,
     fc_backward,
     fc_forward,
-    finite_diff_check,
     maxpool,
     maxpool_backward,
     maxpool_forward,
@@ -28,6 +27,7 @@ from mcfr.nn import (
     softmax_ce_forward,
 )
 
+from .gradcheck import finite_diff_check
 from .oracles import (
     conv2d_backward_batch_oracle,
     conv2d_backward_oracle,

@@ -4,12 +4,14 @@ import pytest
 from mcfr.errors import ConfigError
 from mcfr.events import Event, EventStream, TimeWindow
 from mcfr.network import MCFRConfig, MCFRModel
+from mcfr.nn import conv2d
 from mcfr.snn import (
     PHI,
     UEE_PADDING,
     UEE_STRIDE,
     SRMParams,
     UeeNetwork,
+    _drive,
     _refractory_tail,
     _synaptic_matrix,
     encode_events_to_spikes,
@@ -294,7 +296,7 @@ class TestSeedOracle:
             assert not crop.flags.c_contiguous
             assert_matches_seed(crop, layer)
 
-    @pytest.mark.parametrize("config", [MCFRConfig.reduced(), MCFRConfig.tiny()])
+    @pytest.mark.parametrize("config", [MCFRConfig.reduced(), MCFRConfig.tiny(), MCFRConfig()])
     def test_uee_forward_spikes(self, config):
         net = MCFRModel.initialize(config, seed=0).uee
         rng = np.random.default_rng(7)
@@ -309,6 +311,36 @@ class TestSeedOracle:
                 uee_forward_spikes(crop, net, hw),
                 uee_forward_spikes_oracle(crop, net, hw),
             )
+
+
+class TestTimeMajorDrive:
+    """_drive is conv2d on the time-major filtered spikes, to the byte, so
+    the signs of zeros count, for each input layout a layer meets."""
+
+    @pytest.mark.parametrize("t_bins", [1, 8, 32])
+    def test_matches_conv2d_on_filtered_spikes(self, t_bins):
+        rng = np.random.default_rng(t_bins)
+        big = (rng.random((2, 30, 33, t_bins)) < 0.3).astype(np.float64)
+        big[:, :12] = 0.0  # a silent band: with negative weights, each product is -0.0
+        w0 = -np.abs(rng.normal(0, 0.8, (4, 2, 3, 3)))
+        w1 = rng.normal(0, 0.8, (3, 4, 3, 3))
+        crop = big[:, 3:24, 5:26]
+        spikes = srm_layer_forward(np.ascontiguousarray(crop), 3.0 * np.abs(w0))
+        assert (spikes.any() or t_bins == 1) and not crop.flags.c_contiguous  # v(0) = 0
+        w_inf = w1.copy()
+        w_inf[1, 2, 0, 0] = np.inf  # inf * 0.0 is NaN, so no step may be skipped
+        for x, w in ((np.ascontiguousarray(crop), w0), (crop, w0), (spikes, w1),
+                     (np.zeros((2, 9, 9, t_bins)), w0), (spikes, w_inf)):
+            with np.errstate(invalid="ignore"):
+                want = conv2d(synaptic_filter(x).transpose(3, 0, 1, 2), w,
+                              np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING)
+                got, t0 = _drive(x, w)
+                drive = membrane_drive(x, w)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert drive.tobytes() == want.transpose(1, 2, 3, 0).tobytes()
+            assert not got[:t0].any() and not np.signbit(got[got == 0.0]).any()
+        assert t0 == 0 and np.isnan(got).any()
 
 
 class TestCachedConstants:

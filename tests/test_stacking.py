@@ -115,6 +115,25 @@ class TestWindowBoundsPastInt64:
         f = stack_events(s, TimeWindow(t0, 2**71) if t0 > 0 else TimeWindow(t0, 5))
         assert not normalize_stacked(f).any()
 
+    @pytest.mark.parametrize("window,inside", [
+        (TimeWindow(2**63, 2**71), 0), (TimeWindow(2**62, 2**63), 1),
+        (TimeWindow(2**63 - 1, 2**64), 1), (TimeWindow(-(2**64), 2**63 - 1), 0),
+        (TimeWindow(-(2**64), 2**63), 1), (TimeWindow(-(2**65), -(2**64)), 0)])
+    def test_event_at_int64_max_against_bounds_past_int64(self, window, inside):
+        # compared as float64, 2**63 - 1 rounds to 2**63 and lands on the
+        # wrong side of a bound of 2**63 or more
+        s = make_stream([(2, 2, 2**63 - 1, -1)])
+        assert stack_events(s, window).c_neg.sum() == inside
+
+    @pytest.mark.parametrize("t0", [-(2**63), -1, 0, 3, 2**62, 2**63 - 2])
+    def test_in_range_windows_slice_as_a_mask(self, t0):
+        t = np.array([0, 1, 3, 3, 2**62, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+        s = EventStream(t, np.arange(7) % 4, np.zeros(7, int), np.ones(7, int), 4, 4)
+        for t1 in (t0 + 1, t0 + 2, 2**63 - 1):
+            if t0 < t1 < 2**63:
+                keep = (t >= t0) & (t < t1)
+                assert stack_events(s, TimeWindow(t0, t1)).c_pos.sum() == keep.sum()
+
     @pytest.mark.parametrize("window", [TimeWindow(-(2**63), 10),
                                         TimeWindow(-(2**63) - 1, 10),
                                         TimeWindow(-(2**62) - 1, 2**62)])
