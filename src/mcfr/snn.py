@@ -16,29 +16,28 @@ UEE_PADDING zeros. The final layer emits its membrane drive without
 thresholding; the time mean of that drive is the branch's feature map.
 
 Layout: the public functions take and return (C, H, W, T) tensors, time
-last, but each layer runs time-major, in the layout of its convolution,
-which treats time as its batch axis. The synaptic filter's output is
-copied once into a zero-padded (T, C, H+2, W+2) buffer; the convolution
-reads its columns from strided views of that buffer and writes one
-contiguous (T, O, H', W') array. The leading steps whose filtered input
-is all zero are neither convolved nor simulated: their drive is 0.0. The
-threshold loop reads the drive in place, one contiguous (O*H'*W') row
-per step. A spike adds the refractory tail only to the columns of the
-neurons that fired; a dense update would add 0*u = -0.0 to the others,
-which changes no value, so the result is the same to the bit. Spikes and
-drives leave as (O, H', W', T) views of the time-major arrays.
+last, but each layer runs time-major, in the layout of its convolution:
+nn.conv2d treats time as its batch axis and writes one contiguous
+(T, O, H', W') array. The leading steps whose filtered input is all zero
+are neither convolved nor simulated: their drive is 0.0. The threshold
+loop reads the drive in place, one contiguous (O*H'*W') row per step. A
+spike adds the refractory tail only to the columns of the neurons that
+fired; a dense update would add 0*u = -0.0 to the others, which changes
+no value, so the result is the same to the bit. Spikes and drives leave
+as (O, H', W', T) views of the time-major arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, GeometryError, require_int
 from .events import EventStream, TimeWindow, slice_window
-from .nn import _col_chunks, adaptive_avgpool_forward, conv_out_dim
+from .nn import adaptive_avgpool_forward, conv2d
 
 # Synaptic and refractory time constants (ms), firing threshold, and the
 # simulation step (ms). DT <= TAU_S/4 samples the rise of v finely enough.
@@ -125,43 +124,27 @@ def synaptic_filter(x: np.ndarray) -> np.ndarray:
 
 
 def _drive(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
-    """conv(w, v * x) for every time step, time-major: (C,H,W,T) ->
-    ((T,O,H',W'), t0), where the drive is exactly 0.0 before step t0.
+    """conv(w, v * x) time-major, from the first step t0 whose filtered
+    input is nonzero: (C,H,W,T) -> ((T-t0,O,H',W'), t0). With finite
+    weights the drive before t0 is exactly 0.0, so it is not computed.
 
-    The filtered spikes are copied once into a zero-padded (T,C,H+2p,W+2p)
-    buffer. Each chunk of time steps from t0 on takes its conv columns from
-    one strided view of that buffer and runs one gemm per step, as
-    nn.conv2d does; += 0.0 is conv2d's zero bias, which turns -0.0 into
-    0.0. The steps before t0, whose filtered input is all zero, need no
-    gemm: with finite weights their conv is 0.0. So every step is conv2d's
-    on synaptic_filter(x) to the bit. The filter keeps its own time-last
-    output: written straight into the time-major buffer, np.matmul hands
-    BLAS the transposed product, whose sums can round differently (on an
-    AVX-512 host, by up to 9e-16 in a paper-scale third layer).
+    This is nn.conv2d on the filtered spikes, with time as its batch axis
+    and a zero bias.
     """
-    c, h, wd, t = x.shape
-    o, cin, kh, kw = w.shape
-    if cin != c:
-        raise GeometryError(f"conv expects {cin} input channels, got {c}")
-    p = UEE_PADDING
-    oh, ow = conv_out_dim(h, kh, UEE_STRIDE, p), conv_out_dim(wd, kw, UEE_STRIDE, p)
-    filtered = synaptic_filter(x).transpose(3, 0, 1, 2)
-    buf = np.zeros((t, c, h + 2 * p, wd + 2 * p), dtype=filtered.dtype)
-    buf[:, :, p : p + h, p : p + wd] = filtered
-    del filtered  # the buffer holds it now
-    t0 = next((k for k in range(t) if buf[k].any()), t) if np.isfinite(w).all() else 0
-    y = np.zeros((t, o, oh * ow), dtype=np.result_type(buf, w))
-    for s, cols in _col_chunks(buf[t0:], kh, kw, UEE_STRIDE, 0, oh, ow):
-        np.matmul(w.reshape(o, -1), cols, out=y[t0 + s : t0 + s + len(cols)])
-    y += 0.0
-    return y.reshape(t, o, oh, ow), t0
+    f = synaptic_filter(x).transpose(3, 0, 1, 2)
+    t0 = next((k for k in range(len(f)) if f[k].any()), len(f))
+    if not np.isfinite(w).all():
+        t0 = 0  # inf * 0.0 is NaN
+    return conv2d(f[t0:], w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING), t0
 
 
 def membrane_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Un-thresholded drive conv(w, v * x) for every time step, with no
-    spikes and no reset: (C,H,W,T) -> (O,H',W',T), a view of _drive's
-    time-major output."""
-    return _drive(x, w)[0].transpose(1, 2, 3, 0)
+    spikes and no reset: (C,H,W,T) -> (O,H',W',T), a view of the
+    time-major drive with _drive's t0 zero steps in front."""
+    y, t0 = _drive(x, w)
+    y = np.concatenate([np.zeros((t0, *y.shape[1:]), dtype=y.dtype), y])
+    return y.transpose(1, 2, 3, 0)
 
 
 def srm_layer_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -170,24 +153,24 @@ def srm_layer_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Per step: potential = weighted synaptic drive + refractory trace;
     spike where potential >= PHI; each spike adds u((k'-k)*DT) to that
     neuron's potential at all later steps k'. The loop runs on _drive's
-    time-major output, one contiguous row per step, from the step t0 on
-    which that drive may first be nonzero: before it, nothing has fired,
-    and a potential of 0.0 + 0.0 stays below PHI.
+    time-major output, one contiguous row per step, from its step t0:
+    before it, nothing has fired, and a potential of 0.0 stays below PHI.
     """
     psp, t0 = _drive(x, w)
-    t = psp.shape[0]
-    drive = psp.reshape(t, -1)
+    t, (n, *cells) = x.shape[-1], psp.shape
+    drive = psp.reshape(n, math.prod(cells))
     u_tail = _refractory_tail(t)
-    fired = np.zeros(drive.shape, dtype=bool)
+    fired = np.zeros((t, drive.shape[1]), dtype=bool)
+    late = fired[t0:]  # the steps _drive computed
     refr = np.zeros_like(drive)
-    for k in range(t0, t):
+    for k in range(n):
         # no later step reads refr[k], so it takes the potential
-        np.greater_equal(np.add(drive[k], refr[k], out=refr[k]), PHI, out=fired[k])
-        if k + 1 < t:
-            cols = np.flatnonzero(fired[k])
+        np.greater_equal(np.add(drive[k], refr[k], out=refr[k]), PHI, out=late[k])
+        if k + 1 < n:
+            cols = np.flatnonzero(late[k])
             if cols.size:
-                refr[k + 1 :, cols] += u_tail[: t - k - 1]
-    return fired.astype(np.float64).reshape(psp.shape).transpose(1, 2, 3, 0)
+                refr[k + 1 :, cols] += u_tail[: n - k - 1]
+    return fired.astype(np.float64).reshape(t, *cells).transpose(1, 2, 3, 0)
 
 
 def mean_over_time(x: np.ndarray) -> np.ndarray:
