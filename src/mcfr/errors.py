@@ -52,10 +52,6 @@ class CheckpointError(McfrError):
     """Corrupt, truncated, or incompatible checkpoint file."""
 
 
-class SamplingError(McfrError):
-    """A sample quota could not be met within the attempt budget."""
-
-
 def require_int(name: str, value, minimum: int | None = None,
                 error: type[Exception] = ConfigError) -> None:
     """Raise `error` unless value is a Python or numpy integer (a bool is

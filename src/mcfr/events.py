@@ -1,9 +1,11 @@
 """Event data model, validation, CSV IO, and time-window slicing.
 
 An event is one asynchronous brightness-change record (x, y, t, p) with
-integer microsecond timestamps and polarity in {-1, +1}. Streams keep
-events in non-decreasing time order and are immutable after construction,
-so read-only concurrent use is safe.
+integer microsecond timestamps and polarity in {-1, +1}. A stream is its
+columns: the parallel arrays t, x, y and p, in non-decreasing time order,
+immutable after construction, so read-only concurrent use is safe.
+TimeWindow.offsets alone places an int64 event time in its window: it
+refuses an offset past int64 instead of letting it wrap.
 
 File format: optional comment lines starting with "#". The line
 "# t_us,x,y,p" is the column header; a comment of two integers
@@ -29,7 +31,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,6 @@ _WRITE_CHUNK = 1 << 15
 _INT64 = np.iinfo(np.int64)
 
 
-class Event(NamedTuple):
-    x: int
-    y: int
-    t: int
-    p: int
-
-
 @dataclass(frozen=True)
 class TimeWindow:
     """Half-open interval [t0, t1) in microseconds.
@@ -84,15 +78,21 @@ class TimeWindow:
     def duration(self) -> int:
         return self.t1 - self.t0
 
-    def contains(self, t: int) -> bool:
-        return self.t0 <= t < self.t1
+    def offsets(self, t: np.ndarray) -> np.ndarray:
+        """(t - t0)/(t1 - t0) in float64 for int64 event times t in the
+        window. t0 is clamped to int64, which moves no offset that fits
+        int64; one that does not wraps negative and raises McfrError."""
+        rel = (t - min(max(self.t0, _INT64.min), _INT64.max)) / float(self.duration)
+        if (rel < 0).any():
+            raise McfrError(f"event offsets in {self} exceed the int64 range")
+        return rel
 
 
 class EventStream:
     """Immutable, time-ordered set of events bound to a sensor geometry.
 
     Stored as parallel numpy arrays (structure of arrays) so window slicing
-    and stacking are vectorized; iteration yields Event tuples.
+    and stacking are vectorized; read an event from the columns.
     """
 
     __slots__ = ("t", "x", "y", "p", "width", "height")
@@ -143,24 +143,11 @@ class EventStream:
     def __len__(self) -> int:
         return self.t.size
 
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(self.t.size):
-            yield Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
-
-    def __getitem__(self, i: int) -> Event:
-        return Event(int(self.x[i]), int(self.y[i]), int(self.t[i]), int(self.p[i]))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.p, other.p)
-        )
+        return all(np.array_equal(getattr(self, k), getattr(other, k))
+                   for k in self.__slots__)
 
     def __repr__(self) -> str:
         return f"EventStream(n={len(self)}, {self.width}x{self.height})"
@@ -171,9 +158,8 @@ class EventStream:
 
     @classmethod
     def from_events(cls, events, width: int, height: int) -> "EventStream":
-        if not events:
-            return cls.empty(width, height)
-        x, y, t, p = zip(*events)
+        """The stream of (x, y, t, p) rows, in time order."""
+        x, y, t, p = zip(*events) if events else ((),) * 4
         return cls(t, x, y, p, width, height)
 
 

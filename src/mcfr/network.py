@@ -611,6 +611,11 @@ def train_step(
     n = batch.assembled.shape[0]
     if n == 0:
         raise ConfigError("empty training batch")
+    labels = np.asarray(batch.labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ConfigError(f"need {n} integer labels, not {labels.dtype} {labels.shape}")
+    if batch.uee_feat is not None and np.shape(batch.uee_feat)[:1] != (n,):
+        raise GeometryError(f"uee_feat of shape {np.shape(batch.uee_feat)} for {n} crops")
     total_loss = 0.0
     grads_acc: dict[str, np.ndarray] = {}
     for start in range(0, n, chunk):

@@ -80,19 +80,14 @@ def encode_events_to_spikes(
     """Binary (2, H, W, T) tensor over the stream's sensor; channel 0 =
     negative, 1 = positive.
 
-    Bin index floor((t - t0)/(t1 - t0) * t_bins), clamped into range; a
+    Bin index floor(window.offsets(t) * t_bins), clamped into range; a
     bin is 1 if at least one event of that polarity hit that pixel.
     """
     sub = slice_window(stream, window)
-    spikes = np.zeros((2, stream.height, stream.width, params.t_bins),
-                      dtype=np.float64)
-    if len(sub):
-        rel = (sub.t - window.t0).astype(np.float64) / window.duration
-        bins = np.minimum(
-            (rel * params.t_bins).astype(np.int64), params.t_bins - 1
-        )
-        chan = (sub.p == 1).astype(np.int64)
-        spikes[chan, sub.y, sub.x, bins] = 1.0
+    spikes = np.zeros((2, stream.height, stream.width, params.t_bins), dtype=np.float64)
+    bins = np.minimum((window.offsets(sub.t) * params.t_bins).astype(np.int64),
+                      params.t_bins - 1)
+    spikes[(sub.p == 1).astype(np.int64), sub.y, sub.x, bins] = 1.0
     return spikes
 
 

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import GeometryError, McfrError, require_side
 from .events import EventStream, TimeWindow, slice_window
 
-# channel order of assembled network inputs; a format contract
-INPUT_CHANNELS = ("r", "g", "b", "c_pos", "c_neg", "t_pos", "t_neg")
-
 _MAGIC = b"MCST"
 
 
@@ -56,25 +53,21 @@ def normalize_stacked(f: StackedFrame) -> np.ndarray:
     """(4, H, W) float64 in [0, 1].
 
     Counts are divided by the frame-wide maximum count (min 1); timestamps
-    map to (t - t0)/(t1 - t0) where an event exists and 0 elsewhere. Event
-    times are int64, so t0 is clamped to int64, which moves no offset that
-    fits int64; one that does not wraps negative and raises McfrError.
+    are the window's offsets (TimeWindow.offsets, which refuses one past
+    int64 with McfrError) where an event exists and 0 elsewhere.
     """
     denom = max(1, int(max(f.c_pos.max(), f.c_neg.max())))
-    span = float(f.window.duration)
-    t0 = min(max(f.window.t0, -(1 << 63)), (1 << 63) - 1)
     out = np.zeros((4, f.height, f.width), dtype=np.float64)
-    out[0] = f.c_pos / denom
-    out[1] = f.c_neg / denom
-    out[2] = np.where(f.c_pos > 0, (f.t_pos - t0) / span, 0.0)
-    out[3] = np.where(f.c_neg > 0, (f.t_neg - t0) / span, 0.0)
-    if (out[2:] < 0).any():
-        raise McfrError(f"event offsets in {f.window} exceed the int64 range")
+    for i, (count, latest) in enumerate([(f.c_pos, f.t_pos), (f.c_neg, f.t_neg)]):
+        out[i] = count / denom
+        hit = count > 0
+        out[i + 2][hit] = f.window.offsets(latest[hit])
     return out
 
 
 def assemble_input(rgb: np.ndarray, f: StackedFrame) -> np.ndarray:
-    """(7, H, W) network input in the fixed INPUT_CHANNELS order.
+    """(7, H, W) network input, channels r, g, b, c_pos, c_neg, t_pos,
+    t_neg: a format contract.
 
     rgb must be (3, H, W) scaled to [0, 1]. Every channel group is filled;
     the network zeroes the groups an ablation variant leaves out.

@@ -1,0 +1,127 @@
+"""Print one "stage sha256" line per stage of the pipeline, so that a change
+meant to be exact can be checked to the byte against its parent.
+
+    python tests/fingerprint.py > after.txt    # in the changed checkout
+    python tests/fingerprint.py > before.txt   # in a checkout of the parent
+    diff before.txt after.txt
+
+The script imports the mcfr of the tree it sits in (its ../src), whatever
+PYTHONPATH says. Each preset (tiny, reduced and the paper's MCFRConfig) runs
+with fixed seeds through: simulated events; normalized and assembled planes
+and spikes for every window; UEE features, fusion features and logits of
+two crops; two train_step losses with every parameter and SGD velocity
+after them; and the checkpoint bytes. Every window's event offsets fit
+int64, the range in which the event path gives a result at all. It is not
+named test_*, so pytest does not collect it.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
+
+from mcfr.events import TimeWindow
+from mcfr.frames import to_rgb01
+from mcfr.network import (
+    MCFRConfig,
+    MCFRModel,
+    TrainBatch,
+    classify_features,
+    default_sgd_config,
+    features_forward,
+    save_checkpoint,
+    train_step,
+)
+from mcfr.nn import SGDState
+from mcfr.simulator import SceneSpec, SimConfig, frames_to_events, gen_synthetic_sequence
+from mcfr.snn import encode_events_to_spikes, uee_forward_spikes
+from mcfr.stacking import assemble_input, normalize_stacked, stack_events
+
+PRESETS = (("tiny", MCFRConfig.tiny()), ("reduced", MCFRConfig.reduced()),
+           ("paper", MCFRConfig()))
+SEEDS = (0, 1)
+# Windows beside the frame windows: one before the first frame, and bounds
+# far from the events on either side, up to one from 2**63 that holds none.
+EXTRA_WINDOWS = (TimeWindow(-5000, 40000), TimeWindow(0, 2**62),
+                 TimeWindow(-(2**62), 10**6), TimeWindow(2**63, 2**64))
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def corner(box, size: int, width: int, height: int) -> tuple[int, int]:
+    """Top-left of the size x size crop centred on a box, kept inside."""
+    x = min(max(int(round(box[0] + box[2] / 2 - size / 2)), 0), width - size)
+    y = min(max(int(round(box[1] + box[3] / 2 - size / 2)), 0), height - size)
+    return x, y
+
+
+def stages(config: MCFRConfig, seed: int):
+    """(stage, sha256) pairs for one preset and seed."""
+    size = config.input_crop
+    scene = SceneSpec(width=size + 24, height=size + 16, object_w=size // 2,
+                      object_h=size // 2, frame_count=4, velocity=(3.0, 1.0))
+    seq, boxes = gen_synthetic_sequence(scene, seed)
+    stream = frames_to_events(seq, SimConfig(), seed)
+    yield "events", digest(stream.t, stream.x, stream.y, stream.p,
+                           np.array([stream.width, stream.height]))
+
+    frame_windows = [TimeWindow(a, b) for a, b in zip(seq.timestamps, seq.timestamps[1:])]
+    planes, spikes = [], []
+    for i, window in enumerate(frame_windows + list(EXTRA_WINDOWS)):
+        stacked = stack_events(stream, window)
+        rgb = to_rgb01(seq.frames[min(i + 1, len(seq) - 1)])
+        planes += [normalize_stacked(stacked), assemble_input(rgb, stacked)]
+        spikes.append(encode_events_to_spikes(stream, window, config.uee.srm_params()))
+    yield "planes", digest(*planes)
+    yield "spikes", digest(*spikes)
+
+    model = MCFRModel.initialize(config, seed)
+    crops, uee = [], []
+    for f in (1, 2):  # one crop on the object in each of two frame windows
+        x, y = corner(boxes[f], size, seq.width, seq.height)
+        window = frame_windows[f - 1]
+        x7 = assemble_input(to_rgb01(seq.frames[f]), stack_events(stream, window))
+        crops.append(x7[:, y : y + size, x : x + size])
+        s = encode_events_to_spikes(stream, window, config.uee.srm_params())
+        uee.append(uee_forward_spikes(s[:, y : y + size, x : x + size], model.uee,
+                                      config.feature_hw))
+    crops, uee = np.stack(crops), np.stack(uee)
+    yield "uee", digest(uee)
+
+    feat, _ = features_forward(model, crops, uee)
+    logits, _ = classify_features(model, feat, 0)
+    yield "fusion", digest(feat, logits)
+
+    batch = TrainBatch(crops, uee, np.array([1, 0], dtype=np.int64))
+    sgd, state = default_sgd_config(), SGDState()
+    losses = [train_step(model, batch, 0, sgd, state) for _ in range(2)]
+    params = [model.params[k] for k in sorted(model.params)]
+    velocity = [state.velocity[k] for k in sorted(state.velocity)]
+    yield "train", digest(np.array(losses), *params, *velocity)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        yield "checkpoint", digest(np.frombuffer(path.read_bytes(), np.uint8))
+
+
+def main() -> None:
+    for name, config in PRESETS:
+        for seed in SEEDS:
+            for stage, sha in stages(config, seed):
+                print(f"{name}.seed{seed}.{stage} {sha}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,15 +17,16 @@ def stack_oracle(stream, window):
     c_neg = np.zeros((h, w), dtype=np.int64)
     t_pos = np.zeros((h, w), dtype=np.int64)
     t_neg = np.zeros((h, w), dtype=np.int64)
-    for ev in stream:
-        if not (window.t0 <= ev.t < window.t1):
+    columns = (stream.x, stream.y, stream.t, stream.p)
+    for x, y, t, p in zip(*(c.tolist() for c in columns)):
+        if not (window.t0 <= t < window.t1):
             continue
-        if ev.p == 1:
-            c_pos[ev.y, ev.x] += 1
-            t_pos[ev.y, ev.x] = max(t_pos[ev.y, ev.x], ev.t)
+        if p == 1:
+            c_pos[y, x] += 1
+            t_pos[y, x] = max(t_pos[y, x], t)
         else:
-            c_neg[ev.y, ev.x] += 1
-            t_neg[ev.y, ev.x] = max(t_neg[ev.y, ev.x], ev.t)
+            c_neg[y, x] += 1
+            t_neg[y, x] = max(t_neg[y, x], t)
     return c_pos, c_neg, t_pos, t_neg
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mcfr import events
 from mcfr.errors import MAX_SENSOR_SIDE, EventParseError, GeometryError, McfrError
 from mcfr.events import (
-    Event,
     EventStream,
     TimeWindow,
     load_events,
@@ -22,7 +21,7 @@ from .strategies import corrupted
 
 
 def make_stream(rows, width=8, height=8):
-    return EventStream.from_events([Event(*r) for r in rows], width, height)
+    return EventStream.from_events(rows, width, height)
 
 
 class TestTimeWindow:
@@ -32,19 +31,12 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(6, 5)
 
-    def test_contains_half_open(self):
-        w = TimeWindow(10, 20)
-        assert w.contains(10)
-        assert w.contains(19)
-        assert not w.contains(20)
-        assert not w.contains(9)
-
 
 class TestEventStream:
     def test_valid_construction(self):
         s = make_stream([(1, 2, 10, 1), (0, 0, 15, -1), (1, 2, 20, 1)])
         assert len(s) == 3
-        assert s[1] == Event(0, 0, 15, -1)
+        assert (s.x[1], s.y[1], s.t[1], s.p[1]) == (0, 0, 15, -1)
 
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(EventParseError):
@@ -150,7 +142,7 @@ class TestFileIO:
         path.write_text("10,1,2,1\n15,0,0,-1\n20,1,2,1\n")
         s = load_events(path, geometry=(8, 8))
         assert len(s) == 3
-        assert s[0] == Event(1, 2, 10, 1)
+        assert (s.x[0], s.y[0], s.t[0], s.p[0]) == (1, 2, 10, 1)
 
     def test_empty_file_header_only(self, tmp_path):
         path = tmp_path / "ev.csv"
@@ -493,9 +485,7 @@ class TestWriter:
 )
 def test_round_trip_property(tmp_path_factory, rows):
     rows = sorted(rows, key=lambda r: r[2])
-    s = EventStream.from_events(
-        [Event(x, y, t, p) for x, y, t, p in rows], 16, 16
-    )
+    s = EventStream.from_events(rows, 16, 16)
     path = tmp_path_factory.mktemp("ev") / "ev.csv"
     save_events(s, path)
     assert load_events(path) == s

@@ -347,6 +347,26 @@ class TestTrainStep:
         with pytest.raises(ConfigError):
             train_step(model, batch, 0, default_sgd_config(), SGDState())
 
+    @pytest.mark.parametrize("labels", [
+        np.array([1, 0, 1, 0, 1, 0, 1, 0]), np.array([1, 0, 1]),
+        np.array([True, False, True, False]), np.array([1.0, 0.0, 1.0, 0.0]),
+        np.array([[1, 0, 1, 0]])])
+    def test_labels_must_be_one_integer_per_crop(self, labels):
+        config = MCFRConfig.tiny(num_domains=1)
+        model = MCFRModel.initialize(config, seed=0)
+        batch = self.make_batch(config)
+        batch.labels = labels
+        with pytest.raises(ConfigError, match="integer labels"):
+            train_step(model, batch, 0, default_sgd_config(), SGDState())
+
+    def test_event_features_must_have_one_row_per_crop(self):
+        config = MCFRConfig.tiny(num_domains=1)
+        model = MCFRModel.initialize(config, seed=0)
+        batch = self.make_batch(config)
+        batch.uee_feat = np.concatenate([batch.uee_feat, batch.uee_feat])
+        with pytest.raises(GeometryError, match="uee_feat"):
+            train_step(model, batch, 0, default_sgd_config(), SGDState())
+
     def test_single_sample_overfit(self):
         # An explicit overfitting optimiser: default_sgd_config() holds
         # MDNet's fine-tuning rates, which leave the loss near 0.5 here.

@@ -103,8 +103,8 @@ class TestFramesToEvents:
             l_first = np.log(to_luminance(frames[0]) + cfg.log_eps)
             l_last = np.log(to_luminance(frames[-1]) + cfg.log_eps)
             mass = np.zeros_like(l_first)
-            for ev in stream:
-                mass[ev.y, ev.x] += cfg.c_pos if ev.p == 1 else -cfg.c_neg
+            for x, y, p in zip(stream.x, stream.y, stream.p):
+                mass[y, x] += cfg.c_pos if p == 1 else -cfg.c_neg
             residual = (l_last - l_first) - mass
             assert np.all(np.abs(residual) < max(cfg.c_pos, cfg.c_neg))
 

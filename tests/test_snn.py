@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcfr.errors import ConfigError
-from mcfr.events import Event, EventStream, TimeWindow
+from mcfr.events import EventStream, TimeWindow
 from mcfr.network import MCFRConfig, MCFRModel
 from mcfr.nn import conv2d
 from mcfr.snn import (
@@ -92,7 +92,7 @@ class TestSRMParams:
 
 class TestEncode:
     def test_midpoint_event(self):
-        s = EventStream.from_events([Event(2, 3, 50, 1)], 8, 8)
+        s = EventStream.from_events([(2, 3, 50, 1)], 8, 8)
         spikes = encode_events_to_spikes(s, TimeWindow(0, 100), params(t_bins=8))
         assert spikes.shape == (2, 8, 8, 8)
         assert spikes.sum() == 1.0
@@ -105,15 +105,13 @@ class TestEncode:
         assert not spikes.any()
 
     def test_binary_clip_same_bin(self):
-        s = EventStream.from_events(
-            [Event(1, 1, 10, -1), Event(1, 1, 11, -1)], 4, 4
-        )
+        s = EventStream.from_events([(1, 1, 10, -1), (1, 1, 11, -1)], 4, 4)
         spikes = encode_events_to_spikes(s, TimeWindow(0, 800), params(t_bins=8))
         assert spikes[0, 1, 1, 0] == 1.0
         assert spikes.sum() == 1.0
 
     def test_end_of_window_clamped(self):
-        s = EventStream.from_events([Event(0, 0, 99, 1)], 2, 2)
+        s = EventStream.from_events([(0, 0, 99, 1)], 2, 2)
         spikes = encode_events_to_spikes(s, TimeWindow(0, 100), params(t_bins=8))
         assert spikes[1, 0, 0, 7] == 1.0
 
@@ -207,7 +205,7 @@ class TestReadout:
         weights = np.zeros((1, 2, 3, 3))
         weights[0, 1, 1, 1] = 1.0
         net = UeeNetwork(layers=[weights])
-        s = EventStream.from_events([Event(0, 0, 10, 1)], 1, 1)
+        s = EventStream.from_events([(0, 0, 10, 1)], 1, 1)
         w = TimeWindow(0, 80)
         spikes = encode_events_to_spikes(s, w, params())
         out = uee_forward_spikes(spikes, net)

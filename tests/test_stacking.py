@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr.errors import MAX_SENSOR_SIDE, GeometryError, McfrError
-from mcfr.events import Event, EventStream, TimeWindow
+from mcfr.events import EventStream, TimeWindow
+from mcfr.snn import SRMParams, encode_events_to_spikes
 from mcfr.stacking import (
     assemble_input,
     load_stacked,
@@ -20,7 +21,7 @@ from .strategies import corrupted
 
 
 def make_stream(rows, width=4, height=4):
-    return EventStream.from_events([Event(*r) for r in rows], width, height)
+    return EventStream.from_events(rows, width, height)
 
 
 class TestStackEvents:
@@ -162,6 +163,45 @@ class TestWindowBoundsPastInt64:
             np.where(f.c_neg > 0, (f.t_neg - np.int64(t0)) / span, 0.0),
         ])
         assert normalize_stacked(f).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t0", [-(2**63), -(2**63) - 5])
+    def test_spike_bins_refuse_offsets_past_int64(self, t0):
+        # an int64 t - t0 wraps negative at t0 = -2**63 (bin 0 instead of
+        # bin 7), and a Python int t0 below int64 overflows the subtraction
+        s = make_stream([(1, 1, 5, 1), (2, 2, 6, -1)])
+        window = TimeWindow(t0, 10)
+        with pytest.raises(McfrError, match="int64"):
+            normalize_stacked(stack_events(s, window))
+        with pytest.raises(McfrError, match="int64"):
+            encode_events_to_spikes(s, window, SRMParams(8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spikes_and_planes_share_one_window_rule(self, data):
+        """Both refuse a window exactly when an event's offset t - t0 is past
+        int64; otherwise every spike sits in the bin of its exact offset."""
+        base = data.draw(st.sampled_from([-(2**63), 0, 2**63]))
+        t0 = base + data.draw(st.integers(-(2**16), 2**16))
+        end = data.draw(st.sampled_from([0, 2**63, 2**64]))
+        t1 = max(t0 + 1, end + data.draw(st.integers(-(2**17), 2**17)))
+        times = st.one_of(st.integers(0, 2**17), st.integers(2**63 - 2**17, 2**63 - 1))
+        rows = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), times,
+                                            st.sampled_from([-1, 1])), max_size=8))
+        s, window = make_stream(sorted(rows, key=lambda r: r[2])), TimeWindow(t0, t1)
+        srm = SRMParams(data.draw(st.integers(1, 16)))
+        inside = [r for r in rows if t0 <= r[2] < t1]
+        if any(t - t0 >= 2**63 for _, _, t, _ in inside):
+            with pytest.raises(McfrError, match="int64"):
+                normalize_stacked(stack_events(s, window))
+            with pytest.raises(McfrError, match="int64"):
+                encode_events_to_spikes(s, window, srm)
+            return
+        normalize_stacked(stack_events(s, window))
+        want = np.zeros((2, 4, 4, srm.t_bins))
+        for x, y, t, p in inside:
+            rel = float(t - t0) / float(t1 - t0)
+            want[int(p == 1), y, x, min(int(rel * srm.t_bins), srm.t_bins - 1)] = 1.0
+        assert encode_events_to_spikes(s, window, srm).tobytes() == want.tobytes()
 
 
 class TestAssembleInput:
