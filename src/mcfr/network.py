@@ -19,23 +19,25 @@ two-logit fc6 branch.
 
 The differentiable path is written down once, as ordered layer tables
 (`_layers`): "uee" is empty, since the event features enter the fusion as
-constants, "cfe" is tau then the CFE blocks, "uer" the UER blocks plus
-an adaptive average pool when their output misses feature_hw, "fusion"
-the fusion conv, its ReLU and the flattening, and "head" fc4, ReLU, fc5,
-ReLU, fc6^domain. A block is a conv, a max pool when it pools, then ReLU:
-as ReLU is monotone, pooling first gives the same values and gradients,
-and ReLU and its mask cover only the pooled cells. A layer is a plain
-tuple: ("conv", name, w_shape, stride, pad), ("fc", name, w_shape),
-("relu",), ("pool", k, stride), ("adapt", hw) or ("flat",). `param_shapes`
-reads the parameter shapes off the tables, `_run` walks a table forward
-and `_run_backward` walks it in reverse, so forward, backward and the
-checkpoint set cannot disagree. `_run` keeps one cache per layer only when
-given a list to fill, as `forward` gives it and `features_forward`
-(scoring) does not; `_run_backward` pops each one as it uses it. Only a
-max pool's cache costs work (its argmax); a conv's cache is its input and
-weight, from which `nn.conv2d_backward` rebuilds the columns. A
-checkpoint holds the config and then those arrays as one f32 run in
-param_shapes order: the config is its table of contents.
+constants, "cfe" is tau then the CFE blocks, "uer" the UER blocks plus an
+adaptive average pool when their output misses feature_hw, "fusion" the
+fusion conv, its ReLU and the flattening, and "head" fc4, ReLU, fc5, ReLU,
+fc6^domain. A block is a conv carrying its max pool when it pools, then
+ReLU. The conv pools each column chunk as soon as it is computed, so no
+unpooled output exists for the whole batch; as ReLU is monotone, pooling
+first gives the same values and gradients, and ReLU and its mask cover
+only the pooled cells. A layer is a plain tuple: ("conv", name, w_shape,
+stride, pad, pool) with pool (k, stride) or None, ("fc", name, w_shape),
+("relu",), ("adapt", hw) or ("flat",). `param_shapes` reads the parameter
+shapes off the tables, `_run` walks a table forward and `_run_backward`
+walks it in reverse, so forward, backward and the checkpoint set cannot
+disagree. `_run` keeps one cache per layer only when given a list to fill,
+as `forward` gives it and `features_forward` (scoring) does not;
+`_run_backward` pops each one as it uses it. Only a pooled conv's cache
+costs work, the argmax of each pooled chunk; beside it a conv's cache is
+its input and weight, from which `nn.conv2d_backward` rebuilds the columns
+chunk by chunk. A checkpoint holds the config and then those arrays as one
+f32 run in param_shapes order: the config is its table of contents.
 
 Training uses softmax cross-entropy and SGD with per-group learning rates;
 a train step for domain k touches shared parameters and fc6^k only, and
@@ -66,14 +68,12 @@ from .nn import (
     SGDState,
     adaptive_avgpool_backward,
     adaptive_avgpool_forward,
+    conv2d,
     conv2d_backward,
     conv2d_forward,
     conv_out_dim,
     fc_backward,
     fc_forward,
-    maxpool,
-    maxpool_backward,
-    maxpool_forward,
     relu_backward,
     relu_forward,
     sgd_step,
@@ -299,14 +299,14 @@ class MCFRConfig:
 
 
 def _conv_blocks(prefix: str, blocks, in_c: int) -> list[tuple]:
-    """Conv, max-pool (when the block pools) and ReLU layers of a stack."""
+    """Conv (carrying its max pool when the block pools) and ReLU layers of
+    a stack."""
     layers = []
     for i, block in enumerate(blocks):
         w_shape = (block.out_channels, in_c, block.kernel, block.kernel)
-        layers.append(("conv", f"{prefix}.{i}", w_shape, block.stride, block.padding))
-        if block.pool:
-            layers.append(("pool", block.pool, block.pool_stride))
-        layers.append(("relu",))
+        pool = (block.pool, block.pool_stride) if block.pool else None
+        layers += [("conv", f"{prefix}.{i}", w_shape, block.stride, block.padding, pool),
+                   ("relu",)]
         in_c = block.out_channels
     return layers
 
@@ -320,11 +320,11 @@ def _layers(config: MCFRConfig, domain: int = 0) -> dict[str, list[tuple]]:
     d0, d1 = config.fc_dims
     return {
         "uee": [],  # frozen: the event features enter the fusion as constants
-        "cfe": [("conv", "tau", (3, 7, 1, 1), 1, 0),
+        "cfe": [("conv", "tau", (3, 7, 1, 1), 1, 0, None),
                 *_conv_blocks("cfe", config.cfe, 3)],
         "uer": uer,
-        "fusion": [("conv", "fusion",
-                    (config.fusion_channels, config.fusion_in_channels, 1, 1), 1, 0),
+        "fusion": [("conv", "fusion", (config.fusion_channels,
+                                       config.fusion_in_channels, 1, 1), 1, 0, None),
                    ("relu",), ("flat",)],
         "head": [("fc", "fc4", (d0, config.fc_in_dim)), ("relu",),
                  ("fc", "fc5", (d1, d0)), ("relu",),
@@ -436,20 +436,18 @@ def _run(x, layers, params, caches=None):
     """Walk a layer table forward; returns y. Given a list, appends one
     cache per layer to it for _run_backward."""
     keep = caches is not None
-    pool = maxpool_forward if keep else lambda *args: (maxpool(*args), None)
+    conv = conv2d_forward if keep else lambda *args: (conv2d(*args), None)
     for layer in layers:
         kind = layer[0]
         if kind == "conv":
-            _, name, _, stride, pad = layer
-            x, cache = conv2d_forward(x, params[f"{name}.w"], params[f"{name}.b"],
-                                      stride, pad)
+            _, name, _, stride, pad, pool = layer
+            x, cache = conv(x, params[f"{name}.w"], params[f"{name}.b"],
+                            stride, pad, pool)
         elif kind == "fc":
             name = layer[1]
             x, cache = fc_forward(x, params[f"{name}.w"], params[f"{name}.b"])
         elif kind == "relu":
             x, cache = relu_forward(x)
-        elif kind == "pool":
-            x, cache = pool(x, layer[1], layer[2])
         elif kind == "adapt":
             x, cache = adaptive_avgpool_forward(x, layer[1])
         else:  # flat
@@ -476,8 +474,6 @@ def _run_backward(dy, layers, caches, params, grads, need_dx: bool = True):
             )
         elif kind == "relu":
             dy = relu_backward(dy, caches.pop())
-        elif kind == "pool":
-            dy = maxpool_backward(dy, caches.pop())
         elif kind == "adapt":
             dy = adaptive_avgpool_backward(dy, caches.pop())
         else:  # flat
@@ -498,8 +494,9 @@ def _features(model: MCFRModel, assembled: np.ndarray,
     """Flat features (N,D); a given dict gets one cache list per table."""
     cfg = model.config
     s = cfg.input_crop
-    if assembled.ndim != 4 or assembled.shape[1:] != (7, s, s):
-        raise GeometryError(f"assembled input {assembled.shape} must be (N,7,{s},{s})")
+    if assembled.ndim != 4 or assembled.shape[1:] != (7, s, s) or not len(assembled):
+        raise GeometryError(
+            f"assembled input {assembled.shape} must be (N,7,{s},{s}) with N >= 1")
     n = assembled.shape[0]
     if cfg.ablation.use_uee:
         if uee_feat is None:

@@ -76,52 +76,75 @@ def _col_chunks(x, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int):
         yield s, _im2col(x[s : s + step], kh, kw, stride, pad)[0]
 
 
-def conv2d(x, w, b, stride: int = 1, pad: int = 0):
-    """Cross-correlation. x (N,C,H,W), w (O,C,kh,kw), b (O,) -> (N,O,OH,OW).
-    np.matmul runs one gemm per sample, so _col_chunks changes no sum."""
+def _conv2d(x, w, b, stride, pad, pool, pool_fn):
+    """conv2d's y, and the pool_fn(chunk, *pool) cache of every chunk of
+    _col_chunks when pool is given: each chunk is pooled as soon as its
+    gemms finish, so no unpooled output exists for the whole batch."""
     o, c, kh, kw = w.shape
     if x.shape[1] != c:
         raise GeometryError(f"conv expects {c} input channels, got {x.shape[1]}")
     oh = conv_out_dim(x.shape[2], kh, stride, pad)
     ow = conv_out_dim(x.shape[3], kw, stride, pad)
-    y = np.empty((len(x), o, oh * ow), dtype=np.result_type(x, w))
+    hw = (oh, ow) if pool is None else [conv_out_dim(d, *pool, 0) for d in (oh, ow)]
+    gemm = np.result_type(x, w)  # the gemm's dtype; + b then follows numpy's promotion
+    y = np.empty((len(x), o, *hw), dtype=np.result_type(gemm, b))
+    caches = []
     for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
-        np.matmul(w.reshape(o, -1), cols, out=y[s : s + len(cols)])
-    # in place unless the bias widens the dtype: y + b follows numpy's promotion
-    in_place = np.result_type(y, b) == y.dtype
-    y = np.add(y, b.reshape(1, o, 1), out=y if in_place else None)
-    return y.reshape(len(x), o, oh, ow)
+        part = np.matmul(w.reshape(o, -1), cols)
+        part = np.add(part, b.reshape(1, o, 1), out=part if gemm == y.dtype else None)
+        part = part.reshape(len(cols), o, oh, ow)
+        if pool is not None:
+            part, cache = pool_fn(part, *pool)
+            caches.append(cache)
+        y[s : s + len(cols)] = part
+    return y, caches
 
 
-def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
+def conv2d(x, w, b, stride: int = 1, pad: int = 0, pool=None):
+    """Cross-correlation. x (N,C,H,W), w (O,C,kh,kw), b (O,) -> (N,O,OH,OW),
+    max-pooled as maxpool(y, *pool) when pool = (k, stride) is given.
+    np.matmul runs one gemm per sample and the pool sees one sample at a
+    time, so _col_chunks changes no value."""
+    return _conv2d(x, w, b, stride, pad, pool, lambda y, *ks: (maxpool(y, *ks), None))[0]
+
+
+def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0, pool=None):
     """(conv2d's y, cache); the cache holds x and w themselves, not their
-    columns, which conv2d_backward builds again chunk by chunk."""
-    return conv2d(x, w, b, stride, pad), (x, w, stride, pad)
+    columns, which conv2d_backward builds again chunk by chunk, and with
+    pool the maxpool_forward cache of each chunk."""
+    y, pools = _conv2d(x, w, b, stride, pad, pool, maxpool_forward)
+    return y, (x, w, stride, pad, pools)
 
 
 def conv2d_backward(dy, cache, need_dx: bool = True):
     """Gradients (dx, dw, db) of a conv2d_forward call; dx is None without need_dx.
 
-    Walks conv2d's chunks and builds each chunk's columns once. dw sums
-    one (O, P) @ (P, K) BLAS product per sample, in sample order, into
-    one (O, K) buffer: an einsum over both summed axes runs numpy's own
-    loop instead of BLAS, and one batched matmul would allocate an
-    (N, O, K) temporary before the sum.
+    Walks conv2d's chunks and builds each chunk's columns once; a pooled
+    conv first routes the chunk's slice of dy through maxpool_backward.
+    dw and db sum one sample at a time, in sample order, as
+    dy.sum(axis=(0, 2)) does: dw one (O, P) @ (P, K) BLAS product into one
+    (O, K) buffer, db one row sum. An einsum over both summed axes would
+    run numpy's own loop instead of BLAS, and one batched matmul would
+    allocate an (N, O, K) temporary.
     """
-    x, w, stride, pad = cache
+    x, w, stride, pad, pools = cache
     o, c, kh, kw = w.shape
-    oh, ow = dy.shape[2:]
-    dy2 = dy.reshape(x.shape[0], o, oh * ow)
+    oh = conv_out_dim(x.shape[2], kh, stride, pad)
+    ow = conv_out_dim(x.shape[3], kw, stride, pad)
     dw = np.zeros((o, c * kh * kw))
+    db = np.zeros(o)
     dx = np.empty(x.shape) if need_dx else None
-    for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
+    for j, (s, cols) in enumerate(_col_chunks(x, kh, kw, stride, pad, oh, ow)):
         e = s + len(cols)
-        for i, col in enumerate(cols, s):
+        dy2 = maxpool_backward(dy[s:e], pools[j]) if pools else dy[s:e]
+        dy2 = dy2.reshape(e - s, o, oh * ow)
+        for i, col in enumerate(cols):
             dw += dy2[i] @ col.T
+            db += dy2[i].sum(axis=1)
         if need_dx:
-            dcols = np.matmul(w.reshape(o, -1).T, dy2[s:e])
+            dcols = np.matmul(w.reshape(o, -1).T, dy2)
             dx[s:e] = _col2im(dcols, x[s:e].shape, kh, kw, stride, pad, oh, ow)
-    return dx, dw.reshape(w.shape), dy2.sum(axis=(0, 2))
+    return dx, dw.reshape(w.shape), db
 
 
 def relu_forward(x):

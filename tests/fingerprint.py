@@ -10,9 +10,12 @@ PYTHONPATH says. Each preset (tiny, reduced and the paper's MCFRConfig) runs
 with fixed seeds through: simulated events; normalized and assembled planes
 and spikes for every window; UEE features, fusion features and logits of
 two crops; two train_step losses with every parameter and SGD velocity
-after them; and the checkpoint bytes. Every window's event offsets fit
-int64, the range in which the event path gives a result at all. It is not
-named test_*, so pytest does not collect it.
+after them; and the checkpoint bytes. A last stage repeats features,
+logits and two train steps on a batch of crops that spans several column
+chunks of every pooled conv (nn._col_chunks), so the chunk boundaries are
+hashed too. Every window's event offsets fit int64, the range in which
+the event path gives a result at all. It is not named test_*, so pytest
+does not collect it.
 """
 
 import hashlib
@@ -41,8 +44,11 @@ from mcfr.simulator import SceneSpec, SimConfig, frames_to_events, gen_synthetic
 from mcfr.snn import encode_events_to_spikes, uee_forward_spikes
 from mcfr.stacking import assemble_input, normalize_stacked, stack_events
 
-PRESETS = (("tiny", MCFRConfig.tiny()), ("reduced", MCFRConfig.reduced()),
-           ("paper", MCFRConfig()))
+# (name, config, crops of the batch stage): 128 reduced crops fill three
+# chunks of uer.1, which holds 50 samples a chunk, and 16 paper crops fill
+# six of uer.1 (3 a chunk) and sixteen of cfe.0 and cfe.1 (1 a chunk)
+PRESETS = (("tiny", MCFRConfig.tiny(), 16), ("reduced", MCFRConfig.reduced(), 128),
+           ("paper", MCFRConfig(), 16))
 SEEDS = (0, 1)
 # Windows beside the frame windows: one before the first frame, and bounds
 # far from the events on either side, up to one from 2**63 that holds none.
@@ -66,7 +72,18 @@ def corner(box, size: int, width: int, height: int) -> tuple[int, int]:
     return x, y
 
 
-def stages(config: MCFRConfig, seed: int):
+def train_digest(model: MCFRModel, crops, uee) -> str:
+    """Two train_step losses, then every parameter and SGD velocity."""
+    labels = 1 - np.arange(len(crops), dtype=np.int64) % 2  # 1, 0, 1, ...
+    batch = TrainBatch(crops, uee, labels)
+    sgd, state = default_sgd_config(), SGDState()
+    losses = [train_step(model, batch, 0, sgd, state) for _ in range(2)]
+    params = [model.params[k] for k in sorted(model.params)]
+    velocity = [state.velocity[k] for k in sorted(state.velocity)]
+    return digest(np.array(losses), *params, *velocity)
+
+
+def stages(config: MCFRConfig, seed: int, batch_size: int):
     """(stage, sha256) pairs for one preset and seed."""
     size = config.input_crop
     scene = SceneSpec(width=size + 24, height=size + 16, object_w=size // 2,
@@ -87,39 +104,50 @@ def stages(config: MCFRConfig, seed: int):
     yield "spikes", digest(*spikes)
 
     model = MCFRModel.initialize(config, seed)
-    crops, uee = [], []
-    for f in (1, 2):  # one crop on the object in each of two frame windows
-        x, y = corner(boxes[f], size, seq.width, seq.height)
+    x7s, frame_spikes = {}, {}
+    for f in range(1, len(seq)):
         window = frame_windows[f - 1]
-        x7 = assemble_input(to_rgb01(seq.frames[f]), stack_events(stream, window))
-        crops.append(x7[:, y : y + size, x : x + size])
-        s = encode_events_to_spikes(stream, window, config.uee.srm_params())
-        uee.append(uee_forward_spikes(s[:, y : y + size, x : x + size], model.uee,
-                                      config.feature_hw))
-    crops, uee = np.stack(crops), np.stack(uee)
+        x7s[f] = assemble_input(to_rgb01(seq.frames[f]), stack_events(stream, window))
+        frame_spikes[f] = encode_events_to_spikes(stream, window, config.uee.srm_params())
+
+    def crop(f, x, y):
+        """The assembled crop and its UEE features at (x, y) in frame f."""
+        s = frame_spikes[f][:, y : y + size, x : x + size]
+        return (x7s[f][:, y : y + size, x : x + size],
+                uee_forward_spikes(s, model.uee, config.feature_hw))
+
+    # one crop on the object in each of two frame windows
+    pairs = [crop(f, *corner(boxes[f], size, seq.width, seq.height)) for f in (1, 2)]
+    crops, uee = map(np.stack, zip(*pairs))
     yield "uee", digest(uee)
 
     feat, _ = features_forward(model, crops, uee)
     logits, _ = classify_features(model, feat, 0)
     yield "fusion", digest(feat, logits)
-
-    batch = TrainBatch(crops, uee, np.array([1, 0], dtype=np.int64))
-    sgd, state = default_sgd_config(), SGDState()
-    losses = [train_step(model, batch, 0, sgd, state) for _ in range(2)]
-    params = [model.params[k] for k in sorted(model.params)]
-    velocity = [state.velocity[k] for k in sorted(state.velocity)]
-    yield "train", digest(np.array(losses), *params, *velocity)
+    yield "train", train_digest(model, crops, uee)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, path)
         yield "checkpoint", digest(np.frombuffer(path.read_bytes(), np.uint8))
 
+    # crops anywhere in any frame, scored and trained by a fresh model
+    rng = np.random.default_rng(seed)
+    at = zip(rng.integers(1, len(seq), batch_size),
+             rng.integers(0, seq.width - size + 1, batch_size),
+             rng.integers(0, seq.height - size + 1, batch_size))
+    model = MCFRModel.initialize(config, seed)
+    crops, uee = map(np.stack, zip(*[crop(*where) for where in at]))
+    feat, _ = features_forward(model, crops, uee)
+    logits, _ = classify_features(model, feat, 0)
+    yield "batch.fusion", digest(feat, logits)
+    yield "batch.train", train_digest(model, crops, uee)
+
 
 def main() -> None:
-    for name, config in PRESETS:
+    for name, config, batch_size in PRESETS:
         for seed in SEEDS:
-            for stage, sha in stages(config, seed):
+            for stage, sha in stages(config, seed, batch_size):
                 print(f"{name}.seed{seed}.{stage} {sha}", flush=True)
 
 

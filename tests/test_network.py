@@ -40,8 +40,14 @@ from mcfr.network import (
 from mcfr.nn import (
     SGDConfig,
     SGDState,
+    conv2d,
     conv2d_backward,
     conv2d_forward,
+    conv_out_dim,
+    maxpool_backward,
+    maxpool_forward,
+    relu_backward,
+    relu_forward,
     softmax_ce_backward,
     softmax_ce_forward,
 )
@@ -232,7 +238,8 @@ class TestFusion:
 
     @pytest.mark.parametrize("variant", ["full", "er"])
     @pytest.mark.parametrize("shape", [(2, 7, 19, 22), (2, 7, 19, 25), (2, 7, 22, 19),
-                                       (2, 6, 19, 19), (2, 7, 19, 19, 1), (7, 19, 19)])
+                                       (2, 6, 19, 19), (2, 7, 19, 19, 1), (7, 19, 19),
+                                       (0, 7, 19, 19)])
     def test_assembled_geometry_refused(self, shape, variant):
         config = MCFRConfig.tiny().with_ablation(variant)
         model = MCFRModel.initialize(config, seed=0)
@@ -489,17 +496,29 @@ class TestEndToEndGradients:
             )
 
 
-def _relu_then_pool(tables):
-    """The layer tables with each ("pool", k, stride), ("relu",) pair swapped
-    back to ReLU then pool, the order the blocks ran in before."""
-    swapped = {}
-    for name, table in tables.items():
-        table = list(table)
-        for i in range(len(table) - 1):
-            if table[i][0] == "pool" and table[i + 1] == ("relu",):
-                table[i : i + 2] = table[i + 1], table[i]
-        swapped[name] = table
-    return swapped
+def _relu_then_pool(monkeypatch):
+    """Makes the network run each pooled conv as its block ran before the
+    pool moved into the conv: the unpooled conv, ReLU, then the max pool,
+    through nn's separate kernels. The ("relu",) layer after it then keeps
+    values, signs of zeros and masks as they are."""
+
+    def forward(x, w, b, stride, pad, pool):
+        y, cache = conv2d_forward(x, w, b, stride, pad)
+        if pool is None:
+            return y, cache
+        y, mask = relu_forward(y)
+        y, pool_cache = maxpool_forward(y, *pool)
+        return y, (cache, mask, pool_cache)
+
+    def backward(dy, cache, need_dx=True):
+        if len(cache) == 3:
+            cache, mask, pool_cache = cache
+            dy = relu_backward(maxpool_backward(dy, pool_cache), mask)
+        return conv2d_backward(dy, cache, need_dx)
+
+    monkeypatch.setattr(network, "conv2d_forward", forward)
+    monkeypatch.setattr(network, "conv2d_backward", backward)
+    monkeypatch.setattr(network, "conv2d", lambda *args: forward(*args)[0])
 
 
 def tie_heavy_case(config, seed=0):
@@ -528,28 +547,32 @@ def tie_heavy_case(config, seed=0):
 
 
 class TestTrainingKeepsOnlyWhatBackwardNeeds:
-    """Pooling before ReLU, no input gradient for the data and a backward
-    that consumes its caches change no output: features, logits, every
-    gradient, train_step losses, parameters and SGD velocities match the
-    conv -> ReLU -> pool tables to the byte, signs of zeros included."""
+    """Pooling inside the conv, before ReLU, no input gradient for the data
+    and a backward that consumes its caches change no output: features,
+    logits, every gradient, train_step losses, parameters and SGD
+    velocities match conv -> ReLU -> pool to the byte, signs of zeros
+    included."""
 
     def test_every_pool_precedes_its_relu(self):
-        for table in _layers(MCFRConfig()).values():
-            for a, b in zip(table, table[1:]):
-                assert not (a == ("relu",) and b[0] == "pool")
-                assert b == ("relu",) or a[0] != "pool"
+        layers = [layer for table in _layers(MCFRConfig()).values() for layer in table]
+        assert "pool" not in {layer[0] for layer in layers}
+        pooled = [i for i, layer in enumerate(layers)
+                  if layer[0] == "conv" and layer[5] is not None]
+        assert len(pooled) == 4
+        assert all(layers[i + 1] == ("relu",) for i in pooled)
 
-    def test_inputs_pool_zeros_of_either_sign(self):
+    def test_inputs_pool_zeros_of_either_sign(self, monkeypatch):
         # the two orders give the first pooled block the same values but not
         # the same zeros: ReLU-then-pool keeps the first cell's -0.0 where
         # pool-then-ReLU keeps the window's max, +0.0
         config = MCFRConfig.reduced()
         model, assembled, _ = tie_heavy_case(config)
         cfe = _layers(config)["cfe"]
+        assert cfe[1][5] is not None
         tau = _run(assembled, cfe[:1], model.params)
-        now = _run(tau, cfe[1:4], model.params)
-        before = _run(tau, _relu_then_pool({"cfe": cfe})["cfe"][1:4], model.params)
-        assert cfe[2][0] == "pool"
+        now = _run(tau, cfe[1:3], model.params)
+        _relu_then_pool(monkeypatch)
+        before = _run(tau, cfe[1:3], model.params)
         assert np.array_equal(now, before)
         assert now.tobytes() != before.tobytes()
 
@@ -585,8 +608,7 @@ class TestTrainingKeepsOnlyWhatBackwardNeeds:
             model = MCFRModel.initialize(config, seed=1)
             assembled, uee_feat = rand_inputs(config, 4, seed=2)
         got = self.outputs(model, assembled, uee_feat)
-        monkeypatch.setattr(network, "_layers",
-                            lambda cfg, domain=0: _relu_then_pool(_layers(cfg, domain)))
+        _relu_then_pool(monkeypatch)
         want = self.outputs(model, assembled, uee_feat)
         assert got.keys() == want.keys()
         for name, a in want.items():
@@ -604,18 +626,67 @@ class TestTrainingKeepsOnlyWhatBackwardNeeds:
         backward(model, cache, softmax_ce_backward(ce_cache))
         assert all(caches == [] for caches in lists)
 
+    @pytest.mark.parametrize("dtype", ["f8", "f4"])
+    @pytest.mark.parametrize("kind", ["gauss", "ties", "signed_zeros", "nan"])
+    @pytest.mark.parametrize("pool", [None, (3, 2)])
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0), (2, 1)])
-    def test_conv_backward_without_dx(self, stride, pad):
-        # a batch across conv2d's column chunks, as tau and uer.0 see it
+    def test_conv_backward_without_dx(self, stride, pad, pool, kind, dtype):
+        # a batch across conv2d's column chunks, as tau and uer.0 see it; a
+        # pooled conv matches conv2d_forward -> maxpool_forward going forward
+        # and maxpool_backward -> conv2d_backward going back, to the byte
         rng = np.random.default_rng(stride + pad)
         x = rng.normal(0, 1, size=(40, 7, 23, 23))
         w = rng.normal(0, 1, size=(5, 7, 3, 3))
-        y, cache = conv2d_forward(x, w, np.zeros(5), stride, pad)
-        dy = rng.normal(0, 1, size=y.shape)
-        dx, dw, db = conv2d_backward(dy, cache)
-        no_dx, dw_only, db_only = conv2d_backward(dy, cache, need_dx=False)
-        assert dx is not None and no_dx is None
-        assert dw_only.tobytes() == dw.tobytes() and db_only.tobytes() == db.tobytes()
+        dy_scale = 1.0
+        if kind in ("ties", "signed_zeros"):  # integer outputs: tied windows
+            x, w = np.round(2 * x), np.round(2 * w)
+        if kind == "signed_zeros":
+            # every product underflows, so the gemm sums zeros whose sign it
+            # may keep, and the -0.0 bias keeps it; dy holds zeros of both signs
+            x, w, dy_scale = 1e-30 * x, 1e-300 * w, 0.0
+        if kind == "nan":
+            x[::3, 2, 5, 7] = np.nan
+        x = x.astype(dtype)
+        b = np.full(5, -0.0)
+        y, cache = conv2d_forward(x, w, b, stride, pad, pool)
+        want, conv_cache = conv2d_forward(x, w, b, stride, pad)
+        if pool:
+            want, pool_cache = maxpool_forward(want, *pool)
+        dy = dy_scale * rng.normal(0, 1, size=y.shape)
+        dconv = maxpool_backward(dy, pool_cache) if pool else dy
+        got = {"y": (y,), "cache-free y": (conv2d(x, w, b, stride, pad, pool),),
+               "grads": conv2d_backward(dy, cache),
+               "grads without dx": conv2d_backward(dy, cache, need_dx=False)}
+        expect = {"y": (want,), "cache-free y": (want,),
+                  "grads": conv2d_backward(dconv, conv_cache),
+                  "grads without dx": (None, *conv2d_backward(dconv, conv_cache)[1:])}
+        if kind == "nan":
+            assert np.isnan(want).any() and not np.isnan(want).all()
+        for name, arrays in expect.items():
+            for a, e in zip(got[name], arrays, strict=True):
+                assert (a is None) == (e is None), name
+                if e is not None:
+                    assert a.dtype == e.dtype and a.tobytes() == e.tobytes(), name
+
+    def test_features_forward_peak_memory(self):
+        # 64 reduced crops, the batch a tracker scores each frame. Beside
+        # tau's output, which cfe.0 reads whole, the peak leaves no room for
+        # cfe.0's unpooled output over the whole batch: each pooled conv
+        # pools its column chunks as it computes them
+        config = MCFRConfig.reduced()
+        model = MCFRModel.initialize(config, seed=0)
+        assembled, uee_feat = rand_inputs(config, 64)
+        s, block = config.input_crop, config.cfe[0]
+        tau_bytes = 64 * 3 * s * s * 8
+        oh = conv_out_dim(s, block.kernel, block.stride, block.padding)
+        unpooled_bytes = 64 * block.out_channels * oh * oh * 8
+        tracemalloc.start()
+        try:
+            features_forward(model, assembled, uee_feat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tau_bytes + unpooled_bytes
 
     def test_train_step_peak_memory(self):
         # 64 reduced crops, the batch of a tracker's update: the step may

@@ -290,14 +290,16 @@ def _conv_chunk_step(c, k, oh, dtype):
 class TestForwardOnlyKernels:
     """conv2d and maxpool return conv2d_forward's and maxpool_forward's y,
     to the byte, without writing into their inputs; conv2d also matches
-    the output of one whole-batch im2col."""
+    the output of one whole-batch im2col, max-pooled after it when the
+    conv carries a pool."""
 
+    @pytest.mark.parametrize("pool", [None, (3, 2), (2, 3)])
     @pytest.mark.parametrize("layout", ["contiguous", "time_view"])
     @pytest.mark.parametrize("dtypes", [("f8", "f8", "f8"), ("f4", "f4", "f4"),
                                         ("f4", "f4", "f8"), ("f4", "f8", "f8"),
                                         ("f8", "f4", "f4")])
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (2, 3)])
-    def test_conv2d_matches_conv2d_forward(self, stride, pad, dtypes, layout):
+    def test_conv2d_matches_conv2d_forward(self, stride, pad, dtypes, layout, pool):
         rng = np.random.default_rng(10 * stride + pad)
         c, size, k = 8, 34, 3
         # conv2d builds its columns for as many samples as fit in 2 MiB:
@@ -312,9 +314,12 @@ class TestForwardOnlyKernels:
         b = rng.normal(0, 1, size=5).astype(dtypes[2])
         _read_only(x, w, b)
         for n in (1, step - 1, step, step + 1, n_max):
-            want, _ = conv2d_forward(x[:n], w, b, stride, pad)
-            assert _same_bytes(conv2d(x[:n], w, b, stride, pad), want), n
-            assert _same_bytes(want, conv2d_oracle(x[:n], w, b, stride, pad)), n
+            want, _ = conv2d_forward(x[:n], w, b, stride, pad, pool)
+            assert _same_bytes(conv2d(x[:n], w, b, stride, pad, pool), want), n
+            oracle = conv2d_oracle(x[:n], w, b, stride, pad)
+            if pool:
+                oracle = maxpool(oracle, *pool)
+            assert _same_bytes(want, oracle), n
 
     def test_conv2d_channel_mismatch(self):
         with pytest.raises(GeometryError):
@@ -349,12 +354,14 @@ class TestForwardOnlyKernels:
 class TestConvBackwardChunks:
     """conv2d_forward caches its input, and conv2d_backward rebuilds the
     columns in conv2d's chunks; the gradients match the whole-batch
-    backward to the byte."""
+    backward to the byte, behind one whole-batch maxpool_backward when
+    the conv carries a pool."""
 
+    @pytest.mark.parametrize("pool", [None, (3, 2)])
     @pytest.mark.parametrize("dy_layout", ["contiguous", "channel_slice"])
     @pytest.mark.parametrize("dtype", ["f8", "f4"])
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0), (2, 1), (1, 2)])
-    def test_matches_whole_batch_oracle(self, stride, pad, dtype, dy_layout):
+    def test_matches_whole_batch_oracle(self, stride, pad, dtype, dy_layout, pool):
         rng = np.random.default_rng(10 * stride + pad)
         c, size, k, o = 8, 34, 3, 5
         oh = conv_out_dim(size, k, stride, pad)
@@ -363,14 +370,19 @@ class TestConvBackwardChunks:
         n_max = 2 * step + 1
         x = rng.normal(0, 1, size=(n_max, c, size, size)).astype(dtype)
         w = rng.normal(0, 1, size=(o, c, k, k))
-        dy = rng.normal(0, 1, size=(n_max, o + 3, oh, oh))
+        dh = conv_out_dim(oh, *pool, 0) if pool else oh
+        dy = rng.normal(0, 1, size=(n_max, o + 3, dh, dh))
         # a channel slice, as network.backward hands each branch its segment
         dy = dy[:, 2 : 2 + o] if dy_layout == "channel_slice" else dy[:, :o].copy()
         _read_only(x, w, dy)
         for n in (1, step - 1, step, step + 1, n_max):
-            _, cache = conv2d_forward(x[:n], w, np.zeros(o), stride, pad)
+            _, cache = conv2d_forward(x[:n], w, np.zeros(o), stride, pad, pool)
             got = conv2d_backward(dy[:n], cache)
-            want = conv2d_backward_batch_oracle(dy[:n], x[:n], w, stride, pad)
+            dconv = dy[:n]
+            if pool:
+                y, _ = conv2d_forward(x[:n], w, np.zeros(o), stride, pad)
+                dconv = maxpool_backward(dconv, maxpool_forward(y, *pool)[1])
+            want = conv2d_backward_batch_oracle(dconv, x[:n], w, stride, pad)
             for name, a, b in zip(("dx", "dw", "db"), got, want):
                 assert _same_bytes(a, b), (name, n)
 
