@@ -34,7 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EventParseError, GeometryError, McfrError, decimal_int, require_side
+from .errors import (
+    EventParseError,
+    GeometryError,
+    McfrError,
+    decimal_int,
+    require_int,
+    require_side,
+)
 
 # The bytes a data line may hold on the fast read path.
 _PLAIN = b"0123456789,-\n"
@@ -63,14 +70,17 @@ _INT64 = np.iinfo(np.int64)
 class TimeWindow:
     """Half-open interval [t0, t1) in microseconds.
 
-    t0 may be negative (used for the synthetic window before a sequence's
-    first frame); events themselves always have t >= 0.
+    The bounds are integers (not bools) and may lie past int64; t0 may be
+    negative (the synthetic window before a sequence's first frame), while
+    events themselves always have t >= 0.
     """
 
     t0: int
     t1: int
 
     def __post_init__(self):
+        require_int("TimeWindow.t0", self.t0, error=ValueError)
+        require_int("TimeWindow.t1", self.t1, error=ValueError)
         if self.t0 >= self.t1:
             raise ValueError(f"empty or inverted window [{self.t0}, {self.t1})")
 

@@ -34,6 +34,10 @@ class FrameSequence:
         if not self.frames:
             raise ValueError("empty sequence")
         shape = self.frames[0].shape
+        if len(shape) not in (2, 3) or shape[2:] not in ((), (3,)):
+            raise GeometryError(f"a frame is (H, W) or (H, W, 3), not {shape}")
+        require_side("frame height", shape[0])
+        require_side("frame width", shape[1])
         for f in self.frames:
             if f.dtype != np.uint8:
                 raise ValueError("frames must be uint8")

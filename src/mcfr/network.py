@@ -1,11 +1,13 @@
 """The fusion network: shared branch, RGB branch, event branch, and the
 multi-domain classification head.
 
-The config names its ablation variant, and ABLATION_VARIANTS lists the
-branches and input channel groups each variant keeps. The event branch's
-layer geometry and SRM constants are fixed in `snn`; the config sets only
-its channel widths and time bins, and its frozen weights `uee.i.w` are
-arrays of `params` like every other.
+The config holds what a preset scales: the CFE and UER block widths on
+one of the named conv geometries of GEOMETRIES (`config.cfe` and
+`config.uer` are the blocks as rows), and the event branch's layer
+widths and time bins; its input width, layer geometry and SRM constants
+are fixed in `snn`. Its frozen weights `uee.i.w` are arrays of `params`
+like every other. The config names its ablation variant, and
+ABLATION_VARIANTS lists the branches and input groups each one keeps.
 
 Data flow for one sample: the 7-channel assembled input, with the channel
 groups the ablation variant leaves out set to zero, passes through a
@@ -51,6 +53,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,47 +83,52 @@ from .nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
-from .snn import UEE_KERNEL, SRMParams, UeeNetwork
+from .snn import POLARITIES, UEE_KERNEL, SRMParams, UeeNetwork
 
 CHECKPOINT_MAGIC = b"MCFR"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
-def _require_ints(spec, names: tuple[str, ...], minimum: int) -> None:
-    for name in names:
-        require_int(f"{type(spec).__name__}.{name}", getattr(spec, name), minimum)
-
-
-@dataclass(frozen=True)
-class ConvBlockSpec:
-    """One conv(+max-pool)(+ReLU) stage; pool = 0 means no max pool."""
+class ConvBlockSpec(NamedTuple):
+    """One conv(+max-pool)(+ReLU) stage, a read-only row that MCFRConfig
+    builds from a width and its geometry; pool = 0 means no max pool, and
+    every pool strides 2."""
 
     out_channels: int
     kernel: int
     stride: int
     padding: int
-    pool: int = 0  # 0 = no pooling
+    pool: int = 0
     pool_stride: int = 2
 
-    def __post_init__(self):
-        _require_ints(self, ("out_channels", "kernel", "stride", "pool_stride"), 1)
-        _require_ints(self, ("padding", "pool"), 0)
+
+# Geometry name -> branch -> each block's (kernel, stride, padding, pool);
+# the config gives the widths. "paper" is MDNet's VGG-M conv1-3 for the CFE
+# (Nam & Han, CVPR 2016) and the paper's UER; "tiny" drops every pool and
+# pads cfe.2, so that a 19-px crop keeps a 2x2 map.
+GEOMETRIES = {
+    "paper": {"cfe": ((7, 2, 0, 3), (5, 2, 0, 3), (3, 1, 0, 0)),
+              "uer": ((3, 2, 0, 3), (1, 1, 0, 3), (1, 1, 0, 0))},
+    "tiny": {"cfe": ((7, 2, 0, 0), (5, 2, 0, 0), (3, 1, 1, 0)),
+             "uer": ((3, 2, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0))},
+}
 
 
 @dataclass(frozen=True)
 class SRMNetSpec:
-    """Event-branch layout: (in, hidden..., out) channels and the number of
-    time bins of the spike encoding; `snn` fixes everything else."""
+    """Event-branch layout: the output width of each layer, the last one
+    the feature width, and the number of time bins of the spike encoding.
+    Its input is the snn.POLARITIES spike channels; `snn` fixes the rest."""
 
-    channels: tuple[int, ...] = (2, 16, 32, 64)
+    channels: tuple[int, ...] = (16, 32, 64)
     t_bins: int = 32
 
     def __post_init__(self):
-        if len(self.channels) < 2:
-            raise ConfigError("SRMNetSpec needs input and output channel counts")
+        if not self.channels:
+            raise ConfigError("SRMNetSpec needs at least one layer width")
         for c in self.channels:
             require_int("SRMNetSpec.channels", c, 1)
-        _require_ints(self, ("t_bins",), 1)
+        require_int("SRMNetSpec.t_bins", self.t_bins, 1)
 
     def srm_params(self) -> SRMParams:
         return SRMParams(t_bins=self.t_bins)
@@ -182,16 +190,9 @@ def _blocks_hw(size: int, blocks: tuple[ConvBlockSpec, ...]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class MCFRConfig:
     input_crop: int = 107
-    cfe: tuple[ConvBlockSpec, ...] = (
-        ConvBlockSpec(96, 7, 2, 0, pool=3, pool_stride=2),
-        ConvBlockSpec(256, 5, 2, 0, pool=3, pool_stride=2),
-        ConvBlockSpec(512, 3, 1, 0),
-    )
-    uer: tuple[ConvBlockSpec, ...] = (
-        ConvBlockSpec(128, 3, 2, 0, pool=3, pool_stride=2),
-        ConvBlockSpec(256, 1, 1, 0, pool=3, pool_stride=2),
-        ConvBlockSpec(256, 1, 1, 0),
-    )
+    cfe_widths: tuple[int, int, int] = (96, 256, 512)
+    uer_widths: tuple[int, int, int] = (128, 256, 256)
+    geometry: str = "paper"  # a key of GEOMETRIES
     uee: SRMNetSpec = SRMNetSpec()
     fusion_channels: int = 512
     fc_dims: tuple[int, int] = (512, 512)
@@ -200,18 +201,33 @@ class MCFRConfig:
 
     def __post_init__(self):
         require_side("MCFRConfig.input_crop", self.input_crop, ConfigError)
-        _require_ints(self, ("fusion_channels", "num_domains"), 1)
-        if len(self.fc_dims) != 2:
-            raise ConfigError("fc_dims holds the fc4 and fc5 widths")
-        for d in self.fc_dims:
-            require_int("MCFRConfig.fc_dims", d, 1)
-        if len(self.cfe) != 3 or len(self.uer) != 3:
-            raise ConfigError("shared and RGB branches take exactly 3 conv blocks")
-        if self.uee.channels[0] != 2:
-            raise ConfigError("event branch input is the 2 polarity channels")
-        # validate geometry early; the UER size decides its layer table
+        for name in ("fusion_channels", "num_domains"):
+            require_int(f"MCFRConfig.{name}", getattr(self, name), 1)
+        for name, count in (("cfe_widths", 3), ("uer_widths", 3), ("fc_dims", 2)):
+            widths = getattr(self, name)
+            if len(widths) != count:
+                raise ConfigError(f"MCFRConfig.{name} holds {count} widths: {widths!r}")
+            for width in widths:
+                require_int(f"MCFRConfig.{name}", width, 1)
+        if not isinstance(self.geometry, str) or self.geometry not in GEOMETRIES:
+            raise ConfigError(f"unknown geometry {self.geometry!r}; "
+                              f"choose from {sorted(GEOMETRIES)}")
+        # refuse a crop that either branch collapses on; the UER size
+        # decides its layer table
         _blocks_hw(self.input_crop, self.uer)
         self.feature_hw
+
+    @property
+    def cfe(self) -> tuple[ConvBlockSpec, ...]:
+        """The shared branch's blocks: cfe_widths on the geometry's rows."""
+        return tuple(ConvBlockSpec(width, *row) for width, row
+                     in zip(self.cfe_widths, GEOMETRIES[self.geometry]["cfe"]))
+
+    @property
+    def uer(self) -> tuple[ConvBlockSpec, ...]:
+        """The RGB branch's blocks: uer_widths on the geometry's rows."""
+        return tuple(ConvBlockSpec(width, *row) for width, row
+                     in zip(self.uer_widths, GEOMETRIES[self.geometry]["uer"]))
 
     @property
     def feature_hw(self) -> tuple[int, int]:
@@ -220,8 +236,8 @@ class MCFRConfig:
 
     @property
     def branch_channels(self) -> dict[str, int]:
-        widths = {"uee": self.uee.channels[-1], "cfe": self.cfe[-1].out_channels,
-                  "uer": self.uer[-1].out_channels}
+        widths = {"uee": self.uee.channels[-1], "cfe": self.cfe_widths[-1],
+                  "uer": self.uer_widths[-1]}
         return {name: widths[name]
                 for name in ABLATION_VARIANTS[self.ablation.variant][0]}
 
@@ -237,65 +253,31 @@ class MCFRConfig:
     def with_ablation(self, variant: str) -> "MCFRConfig":
         return replace(self, ablation=AblationFlags(variant))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "MCFRConfig":
-        d = copy.deepcopy(d)
-        d["cfe"] = tuple(ConvBlockSpec(**b) for b in d["cfe"])
-        d["uer"] = tuple(ConvBlockSpec(**b) for b in d["uer"])
-        uee = d["uee"]
-        uee["channels"] = tuple(uee["channels"])
-        d["uee"] = SRMNetSpec(**uee)
-        d["fc_dims"] = tuple(d["fc_dims"])
+        d = dict(d)
+        for name in ("cfe_widths", "uer_widths", "fc_dims"):
+            d[name] = tuple(d[name])
+        d["uee"] = SRMNetSpec(**{**d["uee"], "channels": tuple(d["uee"]["channels"])})
         d["ablation"] = AblationFlags(**d["ablation"])
         return cls(**d)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def reduced(cls, num_domains: int = 1):
-        """Desk-scale geometry: crop 75, narrow channels, 8 time bins."""
-        return cls(
-            input_crop=75,
-            cfe=(
-                ConvBlockSpec(16, 7, 2, 0, pool=3, pool_stride=2),
-                ConvBlockSpec(32, 5, 2, 0, pool=3, pool_stride=2),
-                ConvBlockSpec(64, 3, 1, 0),
-            ),
-            uer=(
-                ConvBlockSpec(16, 3, 2, 0, pool=3, pool_stride=2),
-                ConvBlockSpec(32, 1, 1, 0, pool=3, pool_stride=2),
-                ConvBlockSpec(32, 1, 1, 0),
-            ),
-            uee=SRMNetSpec(channels=(2, 4, 8, 16), t_bins=8),
-            fusion_channels=64,
-            fc_dims=(64, 64),
-            num_domains=num_domains,
-        )
+        """Desk scale on the paper geometry: crop 75, narrow channels, 8 time bins."""
+        return cls(input_crop=75, cfe_widths=(16, 32, 64), uer_widths=(16, 32, 32),
+                   uee=SRMNetSpec(channels=(4, 8, 16), t_bins=8), fusion_channels=64,
+                   fc_dims=(64, 64), num_domains=num_domains)
 
     @classmethod
     def tiny(cls, num_domains: int = 2):
-        """Gradient-check geometry: everything as small as the layer set allows."""
-        return cls(
-            input_crop=19,
-            cfe=(
-                ConvBlockSpec(4, 7, 2, 0),
-                ConvBlockSpec(6, 5, 2, 0),
-                ConvBlockSpec(8, 3, 1, 1),
-            ),
-            uer=(
-                ConvBlockSpec(4, 3, 2, 0),
-                ConvBlockSpec(6, 1, 1, 0),
-                ConvBlockSpec(6, 1, 1, 0),
-            ),
-            uee=SRMNetSpec(channels=(2, 3, 4), t_bins=4),
-            fusion_channels=8,
-            fc_dims=(8, 8),
-            num_domains=num_domains,
-        )
+        """Gradient-check scale: everything as small as the layer set allows."""
+        return cls(input_crop=19, cfe_widths=(4, 6, 8), uer_widths=(4, 6, 6),
+                   geometry="tiny", uee=SRMNetSpec(channels=(3, 4), t_bins=4),
+                   fusion_channels=8, fc_dims=(8, 8), num_domains=num_domains)
 
 
 def _conv_blocks(prefix: str, blocks, in_c: int) -> list[tuple]:
@@ -347,7 +329,7 @@ def param_shapes(config: MCFRConfig) -> dict[str, tuple[int, ...]]:
                     shapes[f"{name}.w"] = w_shape
                     shapes[f"{name}.b"] = w_shape[:1]
     if config.ablation.use_uee:
-        channels = config.uee.channels
+        channels = (POLARITIES, *config.uee.channels)
         for i, (cin, cout) in enumerate(zip(channels, channels[1:])):
             shapes[f"uee.{i}.w"] = (cout, cin, UEE_KERNEL, UEE_KERNEL)
     return shapes
@@ -393,7 +375,7 @@ class MCFRModel:
         if not self.config.ablation.use_uee:
             return None
         return UeeNetwork([self.params[f"uee.{i}.w"]
-                           for i in range(len(self.config.uee.channels) - 1)])
+                           for i in range(len(self.config.uee.channels))])
 
     @classmethod
     def initialize(cls, config: MCFRConfig, seed: int = 0) -> "MCFRModel":

@@ -44,6 +44,8 @@ from .nn import adaptive_avgpool_forward, conv2d
 TAU_S, TAU_R, PHI, DT = 5.0, 5.0, 1.0, 1.0
 # The geometry of every event-branch layer.
 UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
+# Channels of the spike encoding, the event branch's input width.
+POLARITIES = 2
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,14 @@ def kernel_u(t, tau_r: float, phi: float):
 def encode_events_to_spikes(
     stream: EventStream, window: TimeWindow, params: SRMParams
 ) -> np.ndarray:
-    """Binary (2, H, W, T) tensor over the stream's sensor; channel 0 =
-    negative, 1 = positive.
+    """Binary (POLARITIES, H, W, T) tensor over the stream's sensor;
+    channel 0 = negative, 1 = positive.
 
     Bin index floor(window.offsets(t) * t_bins), clamped into range; a
     bin is 1 if at least one event of that polarity hit that pixel.
     """
     sub = slice_window(stream, window)
-    spikes = np.zeros((2, stream.height, stream.width, params.t_bins), dtype=np.float64)
+    spikes = np.zeros((POLARITIES, stream.height, stream.width, params.t_bins))
     bins = np.minimum((window.offsets(sub.t) * params.t_bins).astype(np.int64),
                       params.t_bins - 1)
     spikes[(sub.p == 1).astype(np.int64), sub.y, sub.x, bins] = 1.0

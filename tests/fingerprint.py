@@ -10,15 +10,18 @@ PYTHONPATH says. Each preset (tiny, reduced and the paper's MCFRConfig) runs
 with fixed seeds through: simulated events; normalized and assembled planes
 and spikes for every window; UEE features, fusion features and logits of
 two crops; two train_step losses with every parameter and SGD velocity
-after them; and the checkpoint bytes. A last stage repeats features,
-logits and two train steps on a batch of crops that spans several column
-chunks of every pooled conv (nn._col_chunks), so the chunk boundaries are
-hashed too. Every window's event offsets fit int64, the range in which
-the event path gives a result at all. It is not named test_*, so pytest
-does not collect it.
+after them; and the checkpoint, as two stages: "checkpoint.config" hashes
+its header and config JSON, and "checkpoint.params" its f32 body, so a
+change to the config format shows only in the first. A last stage
+repeats features, logits and two train steps on a batch of crops that
+spans several column chunks of every pooled conv (nn._col_chunks), so
+the chunk boundaries are hashed too. Every window's event offsets fit
+int64, the range in which the event path gives a result at all. It is not
+named test_*, so pytest does not collect it.
 """
 
 import hashlib
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -129,7 +132,11 @@ def stages(config: MCFRConfig, seed: int, batch_size: int):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, path)
-        yield "checkpoint", digest(np.frombuffer(path.read_bytes(), np.uint8))
+        data = path.read_bytes()
+    # magic, u16 version and the u32 length of the config JSON that follows
+    body = 10 + struct.unpack_from("<HI", data, 4)[1]
+    yield "checkpoint.config", digest(np.frombuffer(data[:body], np.uint8))
+    yield "checkpoint.params", digest(np.frombuffer(data[body:], np.uint8))
 
     # crops anywhere in any frame, scored and trained by a fresh model
     rng = np.random.default_rng(seed)

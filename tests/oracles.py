@@ -329,7 +329,7 @@ def initialize_oracle(config, seed=0):
 
     if config.ablation.use_uee:
         uee_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
-        channels = config.uee.channels
+        channels = (2, *config.uee.channels)  # the 2 polarity channels first
         for i, (cin, cout) in enumerate(zip(channels, channels[1:])):
             std = 1.0 / np.sqrt(3 * 3 * cin)  # 3x3 kernels
             p[f"uee.{i}.w"] = uee_rng.normal(0.0, std, (cout, cin, 3, 3))

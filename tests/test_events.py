@@ -31,6 +31,18 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             TimeWindow(6, 5)
 
+    @pytest.mark.parametrize("t0,t1", [(0, 1.5), (0.0, 2.0), (0.0, 2), (False, True),
+                                       (0, np.float64(3.0)), ("0", "5")])
+    def test_rejects_non_integer_bounds(self, t0, t1):
+        # a stacked dump stores the bounds as u64 integers, and a bool is no time
+        with pytest.raises(ValueError, match="must be an integer"):
+            TimeWindow(t0, t1)
+
+    @pytest.mark.parametrize("t0,t1", [(0, 1), (np.int64(-5), np.int32(7)),
+                                       (-(2**70), 2**70)])
+    def test_accepts_integer_bounds_past_int64(self, t0, t1):
+        assert TimeWindow(t0, t1).duration == t1 - t0
+
 
 class TestEventStream:
     def test_valid_construction(self):

@@ -21,7 +21,6 @@ from mcfr.errors import (
 from mcfr.network import (
     ABLATION_VARIANTS,
     CHECKPOINT_VERSION,
-    ConvBlockSpec,
     MCFRConfig,
     MCFRModel,
     TrainBatch,
@@ -97,7 +96,7 @@ class TestInitialize:
             assert np.array_equal(model.params[name], arr), name
         assert (model.uee is None) == ("uee.0.w" not in params)
         if model.uee is not None:
-            assert len(model.uee.layers) == len(config.uee.channels) - 1
+            assert len(model.uee.layers) == len(config.uee.channels)
 
     @pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
     def test_param_shapes_is_the_checkpoint_set(self, variant):
@@ -734,7 +733,7 @@ class TestCheckpoint:
         save_checkpoint(MCFRModel.initialize(MCFRConfig.tiny(), seed=0), path)
         data = path.read_bytes()
         assert data[4:6] == struct.pack("<H", CHECKPOINT_VERSION)
-        for old in (1, 2):
+        for old in (1, 2, 3):
             path.write_bytes(data[:4] + struct.pack("<H", old) + data[6:])
             with pytest.raises(CheckpointError, match=f"unsupported version {old}"):
                 load_checkpoint(path)
@@ -747,9 +746,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("old,new", [
         (b'"ablation"', b'"ablatiom"'),  # KeyError in from_dict
-        (b'"stride":2', b'"stride":0'),  # division by zero in conv_out_dim
+        (b'"geometry":"tiny"', b'"geometry":"tinx"'),  # unknown conv geometry
+        (b'"cfe_widths":[4,6,8]', b'"cfe_widths":[4,6,0]'),  # zero conv width
         (b'"fc_dims":[8,8]', b'"fc_dims":[8.8]'),  # one fc width
-        (b'"channels":[2,3,4]', b'"channels":[2,3.4]'),  # float width
+        (b'"channels":[3,4]', b'"channels":[3.4]'),  # float width
         (b'{"ablation"', b'{"ablation\xff'),  # not UTF-8
         (b'{"ablation"', b'["ablation"'),  # not JSON
         (b'"num_domains":2', b'"num_domains":0'),  # ConfigError
@@ -963,14 +963,19 @@ def test_load_checkpoint_fuzz(tmp_path_factory, data):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
-        ("stride", 0), ("kernel", 0), ("out_channels", -1), ("padding", -1),
-        ("pool_stride", 0), ("kernel", 3.0), ("stride", True),
+        pytest.param("cfe_widths", (4, 6, 0), id="zero-width"),
+        pytest.param("uer_widths", (4, -1, 6), id="negative-width"),
+        pytest.param("cfe_widths", (4.0, 6, 8), id="float-width"),
+        pytest.param("uer_widths", (True, 6, 6), id="bool-width"),
+        pytest.param("cfe_widths", (4, 6), id="two-widths"),
+        pytest.param("uer_widths", (4, 6, 6, 6), id="four-widths"),
+        pytest.param("geometry", "vgg", id="unknown-geometry"),
+        pytest.param("geometry", "Tiny", id="geometry-case"),
+        pytest.param("geometry", ["tiny"], id="geometry-list"),
     ])
-    def test_conv_block_rejects(self, field, value):
-        kw = dict(out_channels=4, kernel=3, stride=1, padding=0)
-        kw[field] = value
+    def test_widths_and_geometry_rejected(self, field, value):
         with pytest.raises(ConfigError):
-            ConvBlockSpec(**kw)
+            replace(MCFRConfig.tiny(), **{field: value})
 
     def test_model_config_rejects(self):
         with pytest.raises(ConfigError):
@@ -980,18 +985,40 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             MCFRConfig(input_crop=107.0)
 
-    @pytest.mark.parametrize("branch", ["cfe", "uer"])
-    def test_collapsing_branch_rejected(self, branch):
-        # a kernel wider than the crop leaves no output; both branches' sizes
-        # shape the layer tables, so the config is refused when built
-        base = MCFRConfig.tiny()
-        blocks = (ConvBlockSpec(4, base.input_crop + 2, 1, 0), *getattr(base, branch)[1:])
+    @pytest.mark.parametrize("geometry,branch,crop", [
+        ("tiny", "cfe", 14), ("tiny", "uer", 2),
+        ("paper", "cfe", 74), ("paper", "uer", 12),
+    ])
+    def test_collapsing_branch_rejected(self, geometry, branch, crop):
+        # a crop too small for a branch of the geometry leaves it no output
+        # (14 and 74 px are one short of what the CFE needs); both branches'
+        # sizes shape the layer tables, so the config is refused when built
+        blocks = getattr(MCFRConfig(geometry=geometry), branch)
         with pytest.raises(GeometryError, match="collapses"):
-            replace(base, **{branch: blocks})
+            network._blocks_hw(crop, blocks)
+        with pytest.raises(GeometryError, match="collapses"):
+            MCFRConfig(input_crop=crop, geometry=geometry)
 
     def test_input_crop_capped_at_sensor_side(self):
         with pytest.raises(ConfigError, match="sensor side limit"):
             MCFRConfig(input_crop=MAX_SENSOR_SIDE + 1)
+
+
+def check_benchmark_walks(monkeypatch, config, n):
+    """mcfrbench's check_walks on n crops of config, domain 0, with spikes
+    at 30% density: at 10% the tiny UEE stays silent, and at 5% the reduced
+    one outputs exactly 0, so the check would compare zeros."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "mcfrbench"))
+    from layers import check_walks
+    from tracer import Tracer
+
+    model = MCFRModel.initialize(config, seed=0)
+    s = config.input_crop
+    rng = np.random.default_rng(1)
+    spikes = (rng.random((2, s, s, config.uee.t_bins)) < 0.3).astype(float)
+    assembled, uee_feat = rand_inputs(config, n, seed=2)
+    return check_walks(Tracer, model, spikes, assembled, uee_feat,
+                       1 - np.arange(n) % 2, 0)
 
 
 @pytest.mark.parametrize("variant", ["full", "no-cfe", "no-uer"])
@@ -999,17 +1026,14 @@ def test_benchmark_walks_match_the_library(monkeypatch, variant):
     # the benchmark's traced copy of the network picks its branches by the
     # AblationFlags properties; it must agree with the library bit for bit
     # on every variant that has a UEE and keeps every input group
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "mcfrbench"))
-    from layers import check_walks
-    from tracer import Tracer
+    ok = check_benchmark_walks(monkeypatch, MCFRConfig.tiny().with_ablation(variant), 4)
+    assert ok == {"uee": True, "forward": True, "train": True}
 
-    config = MCFRConfig.tiny().with_ablation(variant)
-    model = MCFRModel.initialize(config, seed=0)
-    s = config.input_crop
-    rng = np.random.default_rng(1)
-    # at 10% density the tiny UEE stays silent and would compare zeros
-    spikes = (rng.random((2, s, s, config.uee.t_bins)) < 0.3).astype(float)
-    assembled, uee_feat = rand_inputs(config, 4, seed=2)
-    ok = check_walks(Tracer, model, spikes, assembled, uee_feat,
-                     np.array([1, 0, 1, 0]), 0)
+
+@pytest.mark.parametrize("preset", ["reduced", "paper"])
+def test_benchmark_walks_match_the_library_at_scale(monkeypatch, preset):
+    # the configs the benchmark checks its walks on, with its 8 crops: at
+    # paper scale every pooled conv runs several column chunks
+    config = {"reduced": MCFRConfig.reduced(), "paper": MCFRConfig(num_domains=4)}[preset]
+    ok = check_benchmark_walks(monkeypatch, config, 8)
     assert ok == {"uee": True, "forward": True, "train": True}

@@ -342,6 +342,17 @@ class TestFrameSequence:
         frames = (np.zeros((2, 3), np.uint8),) * 2
         assert len(FrameSequence(frames, (np.int64(0), np.int64(5)))) == 2
 
+    @pytest.mark.parametrize("shape", [
+        (4, 5, 4), (4, 5, 1), (2, 3, 4, 3), (5,), (), (0, 5), (4, 0, 3),
+        (MAX_SENSOR_SIDE + 1, 1),
+    ], ids=str)
+    def test_frames_no_function_can_use_rejected(self, shape):
+        # only (H, W) and (H, W, 3) have a PGM/PPM form and a luminance,
+        # and a 1-D frame has no width
+        frames = (np.zeros(shape, np.uint8),) * 2
+        with pytest.raises(GeometryError):
+            FrameSequence(frames, (0, 5))
+
 
 class TestSequenceLoaderFaults:
     @pytest.fixture
