@@ -9,6 +9,8 @@ limit never decides the outcome (decimal_int).
 
 A sensor side (stream geometry, frame or stacked dump side, the network's
 input crop) is an integer in 1..MAX_SENSOR_SIDE (require_side).
+
+A config's sequence field is a list or tuple, stored as a tuple (store_tuple).
 """
 
 import numbers
@@ -60,6 +62,18 @@ def require_int(name: str, value, minimum: int | None = None,
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def store_tuple(config, name: str, length: int | None = None) -> tuple:
+    """The frozen dataclass field config.<name>, stored as a tuple so that
+    the config hashes; ConfigError unless it is a list or tuple (of
+    `length` items, when given)."""
+    value = getattr(config, name)
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ConfigError(f"{type(config).__name__}.{name} must be a list or tuple"
+                          f" of {length or 'any number of'} items, got {value!r}")
+    object.__setattr__(config, name, tuple(value))
+    return getattr(config, name)
 
 
 def require_side(name: str, value, error: type[Exception] = GeometryError) -> None:

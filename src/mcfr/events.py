@@ -163,10 +163,6 @@ class EventStream:
         return f"EventStream(n={len(self)}, {self.width}x{self.height})"
 
     @classmethod
-    def empty(cls, width: int, height: int) -> "EventStream":
-        return cls([], [], [], [], width, height)
-
-    @classmethod
     def from_events(cls, events, width: int, height: int) -> "EventStream":
         """The stream of (x, y, t, p) rows, in time order."""
         x, y, t, p = zip(*events) if events else ((),) * 4

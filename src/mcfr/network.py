@@ -65,6 +65,7 @@ from .errors import (
     NonFiniteError,
     require_int,
     require_side,
+    store_tuple,
 )
 from .nn import (
     SGDConfig,
@@ -124,7 +125,7 @@ class SRMNetSpec:
     t_bins: int = 32
 
     def __post_init__(self):
-        if not self.channels:
+        if not store_tuple(self, "channels"):
             raise ConfigError("SRMNetSpec needs at least one layer width")
         for c in self.channels:
             require_int("SRMNetSpec.channels", c, 1)
@@ -159,7 +160,7 @@ class AblationFlags:
     variant: str = "full"
 
     def __post_init__(self):
-        if self.variant not in ABLATION_VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in ABLATION_VARIANTS:
             raise ConfigError(
                 f"unknown ablation variant {self.variant!r}; "
                 f"choose from {sorted(ABLATION_VARIANTS)}"
@@ -204,10 +205,7 @@ class MCFRConfig:
         for name in ("fusion_channels", "num_domains"):
             require_int(f"MCFRConfig.{name}", getattr(self, name), 1)
         for name, count in (("cfe_widths", 3), ("uer_widths", 3), ("fc_dims", 2)):
-            widths = getattr(self, name)
-            if len(widths) != count:
-                raise ConfigError(f"MCFRConfig.{name} holds {count} widths: {widths!r}")
-            for width in widths:
+            for width in store_tuple(self, name, count):
                 require_int(f"MCFRConfig.{name}", width, 1)
         if not isinstance(self.geometry, str) or self.geometry not in GEOMETRIES:
             raise ConfigError(f"unknown geometry {self.geometry!r}; "
@@ -255,12 +253,8 @@ class MCFRConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MCFRConfig":
-        d = dict(d)
-        for name in ("cfe_widths", "uer_widths", "fc_dims"):
-            d[name] = tuple(d[name])
-        d["uee"] = SRMNetSpec(**{**d["uee"], "channels": tuple(d["uee"]["channels"])})
-        d["ablation"] = AblationFlags(**d["ablation"])
-        return cls(**d)
+        return cls(**{**d, "uee": SRMNetSpec(**d["uee"]),
+                      "ablation": AblationFlags(**d["ablation"])})
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -511,7 +505,8 @@ def features_forward(model: MCFRModel, assembled: np.ndarray,
 
 def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
     """fc4 -> fc5 -> fc6^domain on flat features; returns (logits, cache)."""
-    if not 0 <= domain < model.config.num_domains:
+    require_int("domain", domain, 0)
+    if domain >= model.config.num_domains:
         raise ConfigError(
             f"domain {domain} outside 0..{model.config.num_domains - 1}"
         )
@@ -593,6 +588,8 @@ def train_step(
     labels = np.asarray(batch.labels)
     if labels.shape != (n,) or labels.dtype.kind not in "iu":
         raise ConfigError(f"need {n} integer labels, not {labels.dtype} {labels.shape}")
+    if labels.min() < 0 or labels.max() > 1:
+        raise ConfigError(f"labels must be 0 or 1, got {np.unique(labels)}")
     if batch.uee_feat is not None and np.shape(batch.uee_feat)[:1] != (n,):
         raise GeometryError(f"uee_feat of shape {np.shape(batch.uee_feat)} for {n} crops")
     total_loss = 0.0

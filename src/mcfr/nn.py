@@ -279,18 +279,13 @@ def fc_backward(dy, cache, w):
     return dx, dw, db
 
 
-def softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_ce_forward(logits, labels):
     """Mean cross-entropy. logits (N,K), labels (N,) ints in [0,K)."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label outside logit range")
-    probs = softmax(logits)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
     n = logits.shape[0]
     loss = float(-np.log(probs[np.arange(n), labels] + 1e-300).mean())
     return loss, (probs, labels)

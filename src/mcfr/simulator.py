@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, require_int, require_side
+from .errors import ConfigError, require_int, require_side, store_tuple
 from .events import EventStream
 from .frames import FrameSequence, to_luminance
 
@@ -54,7 +54,8 @@ class ExposureConfig:
     mode: Literal["under", "over", "random"] = "random"
 
     def __post_init__(self):
-        for lo, hi in (self.gain_range_under, self.gain_range_over):
+        for name in ("gain_range_under", "gain_range_over"):
+            lo, hi = store_tuple(self, name, 2)
             if not 0 < lo <= hi < math.inf:
                 raise ConfigError("gain ranges must be positive and finite with lo <= hi")
         if self.mode not in ("under", "over", "random"):
@@ -162,8 +163,7 @@ class SceneSpec:
             raise ConfigError("object sides must be at least 1 and fit the canvas")
         if not all(0 <= v <= 255 for v in (self.object_value, self.background_value)):
             raise ConfigError("object and background values must be in 0..255")
-        if len(self.velocity) != 2:
-            raise ConfigError(f"velocity is (dx, dy), got {self.velocity!r}")
+        store_tuple(self, "velocity", 2)  # (dx, dy)
         if not (all(map(math.isfinite, (*self.velocity, self.amplitude, self.drift)))
                 and 0 < self.period < math.inf):
             raise ConfigError("motion parameters must be finite, the period positive")

@@ -58,22 +58,18 @@ class SRMParams:
         require_int("t_bins", self.t_bins, 1)
 
 
-def kernel_v(t, tau_s: float):
-    """Synaptic kernel (t/tau_s)*exp(1 - t/tau_s), gated to t >= 0.
-
-    Peaks at exactly 1.0 when t == tau_s.
-    """
+def kernel_v(t) -> np.ndarray:
+    """Synaptic kernel (t/TAU_S)*exp(1 - t/TAU_S) on t's shape, gated to
+    t >= 0; peaks at exactly 1.0 when t == TAU_S."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.where(t >= 0, (t / tau_s) * np.exp(1.0 - t / tau_s), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where(t >= 0, (t / TAU_S) * np.exp(1.0 - t / TAU_S), 0.0)
 
 
-def kernel_u(t, tau_r: float, phi: float):
-    """Refractory kernel -2*phi*exp(-t/tau_r), gated to t >= 0."""
+def kernel_u(t) -> np.ndarray:
+    """Refractory kernel -2*PHI*exp(-t/TAU_R) on t's shape, gated to t >= 0."""
     t = np.asarray(t, dtype=np.float64)
     with np.errstate(under="ignore"):
-        out = np.where(t >= 0, -2.0 * phi * np.exp(-t / tau_r), 0.0)
-    return float(out) if out.ndim == 0 else out
+        return np.where(t >= 0, -2.0 * PHI * np.exp(-t / TAU_R), 0.0)
 
 
 def encode_events_to_spikes(
@@ -97,7 +93,7 @@ def encode_events_to_spikes(
 def _synaptic_matrix(t: int) -> np.ndarray:
     """Read-only lower-triangular Toeplitz matrix; mat[k, j] = v((k-j)*DT),
     built once per T and shared by every call."""
-    taps = kernel_v(np.arange(t) * DT, TAU_S)
+    taps = kernel_v(np.arange(t) * DT)
     lag = np.arange(t)[:, None] - np.arange(t)
     mat = np.where(lag >= 0, taps[lag], 0.0)
     mat.setflags(write=False)
@@ -107,7 +103,7 @@ def _synaptic_matrix(t: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _refractory_tail(t: int) -> np.ndarray:
     """Read-only (T-1, 1) column of u(k*DT) for k = 1..T-1."""
-    tail = kernel_u(np.arange(1, t) * DT, TAU_R, PHI)
+    tail = kernel_u(np.arange(1, t) * DT)
     tail.setflags(write=False)
     return tail[:, None]
 
@@ -191,16 +187,15 @@ class UeeNetwork:
                 raise GeometryError("channel mismatch between SRM layers")
 
 
-def uee_forward_spikes(
-    spikes: np.ndarray, net: UeeNetwork, out_hw: tuple[int, int] | None = None
-) -> np.ndarray:
+def uee_forward_spikes(spikes: np.ndarray, net: UeeNetwork,
+                       out_hw: tuple[int, int]) -> np.ndarray:
     """Spikes from encode_events_to_spikes -> SRM layers -> drive -> time
-    mean -> (C, h, w), adaptively pooled to out_hw when given."""
+    mean -> (C, h, w), adaptively pooled to out_hw where its size differs."""
     x = spikes
     for w in net.layers[:-1]:
         x = srm_layer_forward(x, w)
     feat = mean_over_time(membrane_drive(x, net.layers[-1]))
-    if out_hw is not None and feat.shape[1:] != tuple(out_hw):
+    if feat.shape[1:] != tuple(out_hw):
         pooled, _ = adaptive_avgpool_forward(feat[None], out_hw)
         feat = pooled[0]
     return feat

@@ -189,10 +189,10 @@ def conv2d_oracle(x, w, b, stride=1, pad=0):
 
 def synaptic_filter_oracle(x):
     """Causal filter with kernel v; the Toeplitz matrix filled row by row."""
-    from mcfr.snn import DT, TAU_S, kernel_v
+    from mcfr.snn import DT, kernel_v
 
     t = x.shape[-1]
-    taps = kernel_v(np.arange(t) * DT, TAU_S)
+    taps = kernel_v(np.arange(t) * DT)
     mat = np.zeros((t, t))
     for k in range(t):
         mat[k, : k + 1] = taps[k::-1]
@@ -211,11 +211,11 @@ def weighted_psp_oracle(x, w):
 def srm_layer_oracle(x, w):
     """One spiking layer stepped on (O,H',W',T) slices; every step that
     fires adds the refractory tail to the whole remaining block."""
-    from mcfr.snn import DT, PHI, TAU_R, kernel_u
+    from mcfr.snn import DT, PHI, kernel_u
 
     psp = weighted_psp_oracle(x, w)
     t = psp.shape[-1]
-    u_tail = kernel_u(np.arange(1, t) * DT, TAU_R, PHI)
+    u_tail = kernel_u(np.arange(1, t) * DT)
     spikes = np.zeros_like(psp)
     refr = np.zeros_like(psp)
     for k in range(t):

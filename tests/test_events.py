@@ -64,10 +64,10 @@ class TestEventStream:
 
     def test_geometry_cap(self):
         side = MAX_SENSOR_SIDE
-        assert EventStream.empty(side, side).width == side
+        assert EventStream([], [], [], [], side, side).width == side
         for width, height in [(side + 1, 1), (1, side + 1)]:
             with pytest.raises(GeometryError, match="sensor side limit"):
-                EventStream.empty(width, height)
+                EventStream([], [], [], [], width, height)
 
     @pytest.mark.parametrize("width,height", [
         (3.5, 2), (3, 2.0), (True, 2), (3, np.float64(2)), ("3", 2),
@@ -228,7 +228,7 @@ class TestFileIO:
         assert load_events(path) == s
 
     def test_round_trip_empty(self, tmp_path):
-        s = EventStream.empty(5, 6)
+        s = EventStream([], [], [], [], 5, 6)
         path = tmp_path / "ev.csv"
         save_events(s, path)
         back = load_events(path)
@@ -467,7 +467,7 @@ class TestReaderPaths:
 
 class TestWriter:
     @pytest.mark.parametrize("stream", [
-        EventStream.empty(5, 6),
+        EventStream([], [], [], [], 5, 6),
         random_stream(np.random.default_rng(42), 10_000, 640, 480, 10**9),
         EventStream(  # t near 2**62, across more than one write chunk
             2**62 + np.sort(np.random.default_rng(1).integers(0, 10**6, 70_000)),

@@ -235,6 +235,26 @@ class TestFusion:
         with pytest.raises(ConfigError):
             forward(model, assembled, uee_feat, domain=2)
 
+    @pytest.mark.parametrize("domain", [True, False, 0.0, 1.0, "0", None, -1])
+    def test_domain_that_is_no_integer_refused(self, domain):
+        # a bool or float would name a head that no table holds ("fc6.True", "fc6.0.0")
+        config = MCFRConfig.tiny(num_domains=2)
+        model = MCFRModel.initialize(config, seed=0)
+        feat = features_forward(model, *rand_inputs(config, 1))[0]
+        with pytest.raises(ConfigError, match="domain"):
+            classify_features(model, feat, domain)
+        batch = TrainBatch(*rand_inputs(config, 2), np.array([1, 0]))
+        with pytest.raises(ConfigError, match="domain"):
+            train_step(model, batch, domain, default_sgd_config(), SGDState())
+
+    def test_numpy_integer_domain_accepted(self):
+        config = MCFRConfig.tiny(num_domains=2)
+        model = MCFRModel.initialize(config, seed=0)
+        feat = features_forward(model, *rand_inputs(config, 1))[0]
+        expect, _ = classify_features(model, feat, 1)
+        for domain in (np.int64(1), np.uint8(1)):
+            assert np.array_equal(classify_features(model, feat, domain)[0], expect)
+
     @pytest.mark.parametrize("variant", ["full", "er"])
     @pytest.mark.parametrize("shape", [(2, 7, 19, 22), (2, 7, 19, 25), (2, 7, 22, 19),
                                        (2, 6, 19, 19), (2, 7, 19, 19, 1), (7, 19, 19),
@@ -363,6 +383,22 @@ class TestTrainStep:
         batch = self.make_batch(config)
         batch.labels = labels
         with pytest.raises(ConfigError, match="integer labels"):
+            train_step(model, batch, 0, default_sgd_config(), SGDState())
+
+    @pytest.mark.parametrize("labels", [np.array([1, 0, 2, 0]), np.array([1, -1, 1, 0]),
+                                        np.array([1, 0, 1, 255], dtype=np.uint8)])
+    def test_labels_outside_0_and_1_refused_before_any_forward_pass(
+            self, monkeypatch, labels):
+        config = MCFRConfig.tiny(num_domains=1)
+        model = MCFRModel.initialize(config, seed=0)
+        batch = self.make_batch(config)
+        batch.labels = labels
+
+        def no_forward(*args):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(network, "forward", no_forward)
+        with pytest.raises(ConfigError, match="labels must be 0 or 1"):
             train_step(model, batch, 0, default_sgd_config(), SGDState())
 
     def test_event_features_must_have_one_row_per_crop(self):
@@ -984,6 +1020,33 @@ class TestConfigValidation:
             MCFRConfig(fc_dims=(512,))
         with pytest.raises(ConfigError):
             MCFRConfig(input_crop=107.0)
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (MCFRConfig, "cfe_widths", 5), (MCFRConfig, "uer_widths", "466"),
+        (MCFRConfig, "fc_dims", {8: 0, 9: 0}), (MCFRConfig, "fc_dims", np.array([8, 8])),
+        (network.SRMNetSpec, "channels", 4),
+    ])
+    def test_width_field_that_is_no_list_or_tuple_refused(self, cls, field, value):
+        with pytest.raises(ConfigError, match="list or tuple"):
+            cls(**{field: value})
+
+    def test_list_widths_stored_as_tuples(self, tmp_path):
+        # a config built from lists equals, and hashes as, the tuple preset
+        # and its checkpoint round trip
+        tiny = MCFRConfig.tiny()
+        lists = replace(tiny, cfe_widths=[4, 6, 8], uer_widths=[4, 6, 6], fc_dims=[8, 8],
+                        uee=network.SRMNetSpec(channels=[3, 4], t_bins=4))
+        assert lists == tiny and hash(lists) == hash(tiny)
+        assert lists.cfe_widths == (4, 6, 8) and lists.uee.channels == (3, 4)
+        path = tmp_path / "model.mcfr"
+        save_checkpoint(MCFRModel.initialize(lists, seed=0), path)
+        loaded = load_checkpoint(path).config
+        assert loaded == lists and hash(loaded) == hash(lists)
+
+    @pytest.mark.parametrize("variant", [["full"], ("full",), None, 1, b"full"])
+    def test_ablation_variant_that_is_no_string_refused(self, variant):
+        with pytest.raises(ConfigError, match="unknown ablation variant"):
+            network.AblationFlags(variant)
 
     @pytest.mark.parametrize("geometry,branch,crop", [
         ("tiny", "cfe", 14), ("tiny", "uer", 2),

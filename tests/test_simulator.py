@@ -231,6 +231,31 @@ def test_config_that_cannot_be_simulated_rejected(cls, kwargs):
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("cls,field,value", [
+    (SceneSpec, "velocity", [1.0, 0.0]),
+    (ExposureConfig, "gain_range_under", [0.1, 0.5]),
+    (ExposureConfig, "gain_range_over", [2.0, 4.0]),
+])
+def test_pair_given_as_a_list_stored_as_a_tuple(cls, field, value):
+    # a list left in a frozen config would make it unhashable
+    config = cls(**{field: value})
+    assert getattr(config, field) == tuple(value)
+    assert config == cls(**{field: tuple(value)})
+    assert hash(config) == hash(cls(**{field: tuple(value)}))
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (SceneSpec, dict(velocity=5)), (SceneSpec, dict(velocity="ab")),
+    (SceneSpec, dict(velocity=np.array([1.0, 0.0]))),
+    (ExposureConfig, dict(gain_range_under=(0.1,))),
+    (ExposureConfig, dict(gain_range_over=2.0)),
+    (ExposureConfig, dict(gain_range_over=[2.0, 4.0, 8.0])),
+], ids=repr)
+def test_pair_that_is_no_list_or_tuple_of_two_refused(cls, kwargs):
+    with pytest.raises(ConfigError, match="list or tuple of 2 items"):
+        cls(**kwargs)
+
+
 class TestSyntheticScene:
     def test_linear_motion_groundtruth(self):
         spec = SceneSpec(

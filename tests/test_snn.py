@@ -47,31 +47,30 @@ def random_uee(channels, seed):
 
 class TestKernels:
     def test_v_heaviside_gate(self):
-        assert kernel_v(-1.0, 5.0) == 0.0
-        assert kernel_v(-1e-9, 5.0) == 0.0
+        assert kernel_v(-1.0) == 0.0
+        assert kernel_v(-1e-9) == 0.0
 
     def test_v_peak_exactly_one(self):
-        assert kernel_v(5.0, 5.0) == pytest.approx(1.0, abs=1e-15)
+        assert kernel_v(5.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_v_at_two_tau(self):
-        assert kernel_v(10.0, 5.0) == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
+        assert kernel_v(10.0) == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
 
     def test_u_at_zero(self):
-        assert kernel_u(0.0, 5.0, 1.0) == pytest.approx(-2.0, abs=1e-15)
-        assert kernel_u(0.0, 3.0, 0.7) == pytest.approx(-1.4, abs=1e-15)
+        assert kernel_u(0.0) == pytest.approx(-2.0, abs=1e-15)
 
     def test_u_heaviside_gate(self):
-        assert kernel_u(-5.0, 5.0, 1.0) == 0.0
+        assert kernel_u(-5.0) == 0.0
 
     def test_u_at_tau_r(self):
-        assert kernel_u(5.0, 5.0, 1.0) == pytest.approx(
+        assert kernel_u(5.0) == pytest.approx(
             -2.0 * np.exp(-1.0), abs=1e-12
         )
 
     def test_bounds_on_dense_grid(self):
         t = np.linspace(-10, 50, 2000)
-        v = kernel_v(t, 5.0)
-        u = kernel_u(t, 5.0, 1.0)
+        v = kernel_v(t)
+        u = kernel_u(t)
         assert np.all(v <= 1.0 + 1e-15)
         assert np.all(v[t < 0] == 0.0)
         assert np.all(u <= 0.0)
@@ -100,7 +99,7 @@ class TestEncode:
 
     def test_empty(self):
         spikes = encode_events_to_spikes(
-            EventStream.empty(4, 4), TimeWindow(0, 100), params()
+            EventStream([], [], [], [], 4, 4), TimeWindow(0, 100), params()
         )
         assert not spikes.any()
 
@@ -193,7 +192,7 @@ class TestReadout:
     def test_uee_empty_stream_zero(self):
         net = random_uee((2, 4, 8), seed=0)
         spikes = encode_events_to_spikes(
-            EventStream.empty(16, 16), TimeWindow(0, 100), params()
+            EventStream([], [], [], [], 16, 16), TimeWindow(0, 100), params()
         )
         out = uee_forward_spikes(spikes, net, out_hw=(2, 2))
         assert out.shape == (8, 2, 2)
@@ -208,7 +207,7 @@ class TestReadout:
         s = EventStream.from_events([(0, 0, 10, 1)], 1, 1)
         w = TimeWindow(0, 80)
         spikes = encode_events_to_spikes(s, w, params())
-        out = uee_forward_spikes(spikes, net)
+        out = uee_forward_spikes(spikes, net, (1, 1))
         expected = mean_over_time(synaptic_filter(spikes))[1]
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(float(expected[0, 0]), abs=1e-12)

@@ -36,7 +36,7 @@ class TestStackEvents:
         assert f.t_pos.sum() == 20 and f.t_neg.sum() == 15
 
     def test_empty_stream_all_zero(self):
-        f = stack_events(EventStream.empty(4, 4), TimeWindow(0, 10))
+        f = stack_events(EventStream([], [], [], [], 4, 4), TimeWindow(0, 10))
         for grid in (f.c_pos, f.c_neg, f.t_pos, f.t_neg):
             assert not grid.any()
 
@@ -71,7 +71,7 @@ class TestStackEvents:
 
 class TestNormalize:
     def test_all_zero(self):
-        f = stack_events(EventStream.empty(4, 4), TimeWindow(0, 10))
+        f = stack_events(EventStream([], [], [], [], 4, 4), TimeWindow(0, 10))
         assert not normalize_stacked(f).any()
 
     def test_count_scaling(self):
@@ -103,7 +103,7 @@ class TestWindowBoundsPastInt64:
 
     def test_window_past_int64_dumps_empty_planes(self, tmp_path):
         window = TimeWindow(2**63, 2**63 + 1)
-        f = stack_events(EventStream.empty(4, 4), window)
+        f = stack_events(EventStream([], [], [], [], 4, 4), window)
         path = tmp_path / "frame.mcst"
         save_stacked(f, path)
         planes, loaded, _, _ = load_stacked(path)
@@ -206,7 +206,7 @@ class TestWindowBoundsPastInt64:
 
 class TestAssembleInput:
     def test_zero_events_keeps_rgb(self):
-        f = stack_events(EventStream.empty(4, 4), TimeWindow(0, 10))
+        f = stack_events(EventStream([], [], [], [], 4, 4), TimeWindow(0, 10))
         rgb = np.random.default_rng(0).random((3, 4, 4))
         out = assemble_input(rgb, f)
         assert np.array_equal(out[0:3], rgb)
@@ -225,7 +225,7 @@ class TestAssembleInput:
             assert np.array_equal(out[3 + k], norm[k])
 
     def test_geometry_mismatch(self):
-        f = stack_events(EventStream.empty(4, 4), TimeWindow(0, 10))
+        f = stack_events(EventStream([], [], [], [], 4, 4), TimeWindow(0, 10))
         with pytest.raises(GeometryError):
             assemble_input(np.zeros((3, 5, 4)), f)
 
@@ -254,7 +254,7 @@ class TestStackedDump:
     @pytest.mark.parametrize("window", [TimeWindow(0, 2**64), TimeWindow(-1, 10),
                                         TimeWindow(2**64, 2**64 + 1)])
     def test_bound_outside_u64_refused_before_the_file_is_opened(self, tmp_path, window):
-        f = stack_events(EventStream.empty(4, 4), window)
+        f = stack_events(EventStream([], [], [], [], 4, 4), window)
         path = tmp_path / "frame.mcst"
         with pytest.raises(McfrError, match="u64"):
             save_stacked(f, path)
@@ -263,7 +263,7 @@ class TestStackedDump:
     def test_largest_u64_bound_round_trips(self, tmp_path):
         window = TimeWindow(0, 2**64 - 1)
         path = tmp_path / "frame.mcst"
-        save_stacked(stack_events(EventStream.empty(4, 4), window), path)
+        save_stacked(stack_events(EventStream([], [], [], [], 4, 4), window), path)
         assert load_stacked(path)[1] == window
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5, 1.5])
@@ -271,7 +271,7 @@ class TestStackedDump:
     def test_plane_value_outside_unit_interval_refused(self, tmp_path, value, offset):
         # the first and the last value of the four planes
         path = tmp_path / "frame.mcst"
-        save_stacked(stack_events(EventStream.empty(3, 2), TimeWindow(0, 10)), path)
+        save_stacked(stack_events(EventStream([], [], [], [], 3, 2), TimeWindow(0, 10)), path)
         data = bytearray(path.read_bytes())
         at = offset % len(data)
         data[at : at + 4] = struct.pack("<f", value)
