@@ -1,4 +1,4 @@
-"""Shared exception types, and the input rules every loader uses.
+"""Shared exception types, and the one owner of each input rule.
 
 Integer text grammar (event CSV fields and sidecar, timestamps.txt lines,
 PGM/PPM header tokens): an optional leading "-" and ASCII digits, blanks
@@ -7,12 +7,15 @@ zeros do not count, and more than _DIGITS_MAX significant digits read as
 +-10**_DIGITS_MAX, past every range a caller accepts, so int()'s own digit
 limit never decides the outcome (decimal_int).
 
-A sensor side (stream geometry, frame or stacked dump side, the network's
-input crop) is an integer in 1..MAX_SENSOR_SIDE (require_side).
-
+An integer is a Python or numpy integer, not a bool, within optional bounds
+(require_int); a sensor side (stream geometry, frame or stacked dump side,
+the network's input crop) is one in 1..MAX_SENSOR_SIDE (require_side). A
+real number is finite, not a bool, with an optional lower bound, inclusive
+or strict (require_real). A name is a string in its table (require_choice).
 A config's sequence field is a list or tuple, stored as a tuple (store_tuple).
 """
 
+import math
 import numbers
 
 # Largest sensor side accepted, in pixels. Real event cameras stay well
@@ -55,13 +58,30 @@ class CheckpointError(McfrError):
 
 
 def require_int(name: str, value, minimum: int | None = None,
-                error: type[Exception] = ConfigError) -> None:
-    """Raise `error` unless value is a Python or numpy integer (a bool is
-    not one) and, when minimum is given, at least minimum."""
+                maximum: int | None = None, error: type[Exception] = ConfigError) -> None:
+    """Raise `error` unless value is an integer in minimum..maximum."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (minimum is not None and value < minimum)):
+            or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise error(f"{name} must be an integer <= {maximum}, got {value!r}")
+
+
+def require_real(name: str, value, minimum=None, strict: bool = False) -> None:
+    """Raise ConfigError unless value is a finite real >= minimum (> if strict)."""
+    # the chained comparison refuses NaN, and compares a huge int exactly
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf
+            or minimum is not None and (value <= minimum if strict else value < minimum)):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ConfigError(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+def require_choice(name: str, value, choices) -> None:
+    """Raise ConfigError unless value is a string among choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; choose from {sorted(choices)}")
 
 
 def store_tuple(config, name: str, length: int | None = None) -> tuple:
@@ -79,9 +99,7 @@ def store_tuple(config, name: str, length: int | None = None) -> tuple:
 def require_side(name: str, value, error: type[Exception] = GeometryError) -> None:
     """Raise `error` unless value is an integer sensor side in
     1..MAX_SENSOR_SIDE."""
-    require_int(name, value, 1, error)
-    if value > MAX_SENSOR_SIDE:
-        raise error(f"{name} {value} exceeds the sensor side limit {MAX_SENSOR_SIDE}")
+    require_int(name, value, 1, MAX_SENSOR_SIDE, error)
 
 
 def decimal_int(field: str) -> int | None:

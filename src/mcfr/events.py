@@ -80,9 +80,8 @@ class TimeWindow:
 
     def __post_init__(self):
         require_int("TimeWindow.t0", self.t0, error=ValueError)
-        require_int("TimeWindow.t1", self.t1, error=ValueError)
-        if self.t0 >= self.t1:
-            raise ValueError(f"empty or inverted window [{self.t0}, {self.t1})")
+        # a window is not empty; a numpy t0 + 1 would wrap at the int64 maximum
+        require_int("TimeWindow.t1", self.t1, int(self.t0) + 1, error=ValueError)
 
     @property
     def duration(self) -> int:

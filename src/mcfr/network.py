@@ -63,6 +63,7 @@ from .errors import (
     GeometryError,
     McfrError,
     NonFiniteError,
+    require_choice,
     require_int,
     require_side,
     store_tuple,
@@ -160,11 +161,7 @@ class AblationFlags:
     variant: str = "full"
 
     def __post_init__(self):
-        if not isinstance(self.variant, str) or self.variant not in ABLATION_VARIANTS:
-            raise ConfigError(
-                f"unknown ablation variant {self.variant!r}; "
-                f"choose from {sorted(ABLATION_VARIANTS)}"
-            )
+        require_choice("ablation variant", self.variant, ABLATION_VARIANTS)
 
     @property
     def use_uee(self) -> bool:
@@ -207,9 +204,10 @@ class MCFRConfig:
         for name, count in (("cfe_widths", 3), ("uer_widths", 3), ("fc_dims", 2)):
             for width in store_tuple(self, name, count):
                 require_int(f"MCFRConfig.{name}", width, 1)
-        if not isinstance(self.geometry, str) or self.geometry not in GEOMETRIES:
-            raise ConfigError(f"unknown geometry {self.geometry!r}; "
-                              f"choose from {sorted(GEOMETRIES)}")
+        require_choice("geometry", self.geometry, GEOMETRIES)
+        for name, kind in (("uee", SRMNetSpec), ("ablation", AblationFlags)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigError(f"MCFRConfig.{name} is a {kind.__name__}, not {value!r}")
         # refuse a crop that either branch collapses on; the UER size
         # decides its layer table
         _blocks_hw(self.input_crop, self.uer)
@@ -505,11 +503,7 @@ def features_forward(model: MCFRModel, assembled: np.ndarray,
 
 def classify_features(model: MCFRModel, feat: np.ndarray, domain: int):
     """fc4 -> fc5 -> fc6^domain on flat features; returns (logits, cache)."""
-    require_int("domain", domain, 0)
-    if domain >= model.config.num_domains:
-        raise ConfigError(
-            f"domain {domain} outside 0..{model.config.num_domains - 1}"
-        )
+    require_int("domain", domain, 0, model.config.num_domains - 1)
     caches: list = []
     logits = _run(feat, _layers(model.config, domain)["head"], model.params, caches)
     return logits, {"domain": domain, "head": caches}
@@ -605,10 +599,9 @@ def train_step(
         weight = (end - start) / n
         total_loss += loss * weight
         for k, g in grads.items():
-            if k in grads_acc:
-                grads_acc[k] += g * weight
-            else:
-                grads_acc[k] = g * weight
+            g *= weight  # a fresh array: the first chunk's becomes the running sum
+            if grads_acc.setdefault(k, g) is not g:
+                grads_acc[k] += g
     # refuse before sgd_step, so parameters and momentum stay untouched
     if not math.isfinite(total_loss):
         raise NonFiniteError(f"non-finite loss {total_loss}")

@@ -14,15 +14,13 @@ agreement to 1e-6 relative error, the end-to-end network test to 1e-5.
 
 from __future__ import annotations
 
-import math
-import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, require_real
 
 
 def conv_out_dim(size: int, k: int, stride: int, pad: int) -> int:
@@ -310,13 +308,15 @@ class SGDConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
+        if not (isinstance(self.lr, Mapping)
+                and all(isinstance(group, str) for group in self.lr)):
+            raise ConfigError(f"SGD lr must map group names to rates, got {self.lr!r}")
         object.__setattr__(self, "lr", MappingProxyType(dict(self.lr)))
         # one NaN or inf here turns every parameter it reaches into NaN
-        for name, v in [*((f"lr[{k!r}]", v) for k, v in self.lr.items()),
-                        ("default_lr", self.default_lr),
-                        ("momentum", self.momentum), ("weight_decay", self.weight_decay)]:
-            if not (isinstance(v, numbers.Real) and 0 <= v < math.inf):
-                raise ConfigError(f"SGD {name} must be finite and >= 0, got {v!r}")
+        for group, rate in self.lr.items():
+            require_real(f"SGD lr[{group!r}]", rate, 0)
+        for name in ("default_lr", "momentum", "weight_decay"):
+            require_real(f"SGD {name}", getattr(self, name), 0)
 
     def rate_for(self, name: str) -> float:
         for prefix, rate in self.lr.items():

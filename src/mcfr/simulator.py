@@ -21,7 +21,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, require_int, require_side, store_tuple
+from .errors import (ConfigError, require_choice, require_int, require_real,
+                     require_side, store_tuple)
 from .events import EventStream
 from .frames import FrameSequence, to_luminance
 
@@ -36,13 +37,9 @@ class SimConfig:
     threshold_noise_std: float = 0.0
 
     def __post_init__(self):
-        # a chained comparison is False for NaN, so each check refuses it too
-        if not (0 < self.c_pos < math.inf and 0 < self.c_neg < math.inf):
-            raise ConfigError("contrast thresholds must be positive and finite")
-        if not 0 < self.log_eps < math.inf:
-            raise ConfigError("log_eps must be positive and finite")
-        if not 0 <= self.threshold_noise_std < math.inf:
-            raise ConfigError("threshold_noise_std must be finite and >= 0")
+        for name in ("c_pos", "c_neg", "log_eps"):
+            require_real(f"SimConfig.{name}", getattr(self, name), 0, strict=True)
+        require_real("SimConfig.threshold_noise_std", self.threshold_noise_std, 0)
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,9 @@ class ExposureConfig:
     def __post_init__(self):
         for name in ("gain_range_under", "gain_range_over"):
             lo, hi = store_tuple(self, name, 2)
-            if not 0 < lo <= hi < math.inf:
-                raise ConfigError("gain ranges must be positive and finite with lo <= hi")
-        if self.mode not in ("under", "over", "random"):
-            raise ConfigError(f"unknown exposure mode {self.mode!r}")
+            require_real(f"ExposureConfig.{name}[0]", lo, 0, strict=True)
+            require_real(f"ExposureConfig.{name}[1]", hi, lo)
+        require_choice("exposure mode", self.mode, ("under", "over", "random"))
 
 
 # Threshold jitter can make a per-pixel threshold arbitrarily small; clamp
@@ -155,20 +151,15 @@ class SceneSpec:
     def __post_init__(self):
         require_side("SceneSpec.width", self.width, ConfigError)
         require_side("SceneSpec.height", self.height, ConfigError)
-        for name in ("object_w", "object_h", "object_value",
-                     "background_value", "frame_count", "frame_interval_us"):
-            require_int(f"SceneSpec.{name}", getattr(self, name),
-                        1 if name.startswith("frame") else None)
-        if not (1 <= self.object_w <= self.width and 1 <= self.object_h <= self.height):
-            raise ConfigError("object sides must be at least 1 and fit the canvas")
-        if not all(0 <= v <= 255 for v in (self.object_value, self.background_value)):
-            raise ConfigError("object and background values must be in 0..255")
-        store_tuple(self, "velocity", 2)  # (dx, dy)
-        if not (all(map(math.isfinite, (*self.velocity, self.amplitude, self.drift)))
-                and 0 < self.period < math.inf):
-            raise ConfigError("motion parameters must be finite, the period positive")
-        if self.motion not in ("linear", "sine"):
-            raise ConfigError(f"unknown scene motion {self.motion!r}")
+        for name, lo, hi in (("object_w", 1, self.width), ("object_h", 1, self.height),
+                             ("object_value", 0, 255), ("background_value", 0, 255),
+                             ("frame_count", 1, None), ("frame_interval_us", 1, None)):
+            require_int(f"SceneSpec.{name}", getattr(self, name), lo, hi)
+        for i, v in enumerate(store_tuple(self, "velocity", 2)):  # (dx, dy)
+            require_real(f"SceneSpec.velocity[{i}]", v)
+        for name, lo in (("amplitude", None), ("drift", None), ("period", 0)):
+            require_real(f"SceneSpec.{name}", getattr(self, name), lo, strict=True)
+        require_choice("scene motion", self.motion, ("linear", "sine"))
 
 
 def gen_synthetic_sequence(

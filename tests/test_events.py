@@ -30,6 +30,8 @@ class TestTimeWindow:
             TimeWindow(5, 5)
         with pytest.raises(ValueError):
             TimeWindow(6, 5)
+        with pytest.raises(ValueError):
+            TimeWindow(np.int64(2**63 - 1), np.int64(5))
 
     @pytest.mark.parametrize("t0,t1", [(0, 1.5), (0.0, 2.0), (0.0, 2), (False, True),
                                        (0, np.float64(3.0)), ("0", "5")])
@@ -66,7 +68,7 @@ class TestEventStream:
         side = MAX_SENSOR_SIDE
         assert EventStream([], [], [], [], side, side).width == side
         for width, height in [(side + 1, 1), (1, side + 1)]:
-            with pytest.raises(GeometryError, match="sensor side limit"):
+            with pytest.raises(GeometryError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
                 EventStream([], [], [], [], width, height)
 
     @pytest.mark.parametrize("width,height", [
@@ -218,7 +220,7 @@ class TestFileIO:
     def test_oversized_geometry_rejected(self, tmp_path, sidecar):
         path = tmp_path / "ev.csv"
         path.write_bytes(sidecar + b"\n1,0,0,1\n")
-        with pytest.raises(GeometryError, match="sensor side limit"):
+        with pytest.raises(GeometryError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
             load_events(path)
 
     def test_round_trip_small(self, tmp_path):

@@ -896,7 +896,7 @@ class TestCheckpoint:
         assert blob != MCFRConfig.tiny().canonical_json().encode()
         path.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob
                          + data[10 + cfg_len :])
-        with pytest.raises(CheckpointError, match="sensor side limit"):
+        with pytest.raises(CheckpointError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
             load_checkpoint(path)
 
     def test_domain_count_preserved(self, tmp_path):
@@ -1063,7 +1063,7 @@ class TestConfigValidation:
             MCFRConfig(input_crop=crop, geometry=geometry)
 
     def test_input_crop_capped_at_sensor_side(self):
-        with pytest.raises(ConfigError, match="sensor side limit"):
+        with pytest.raises(ConfigError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
             MCFRConfig(input_crop=MAX_SENSOR_SIDE + 1)
 
 

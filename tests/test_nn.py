@@ -440,7 +440,7 @@ class TestSGD:
     ], ids=repr)
     def test_rejects_rates_that_are_not_finite_and_non_negative(self, kwargs):
         # any of these turns every parameter the step reaches into NaN
-        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+        with pytest.raises(ConfigError, match="must be a finite real number >= 0, got"):
             SGDConfig(**{"lr": {}, **kwargs})
 
     def test_accepts_zero_and_numpy_scalars(self):

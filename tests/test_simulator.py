@@ -359,7 +359,8 @@ class TestFrameSequence:
     def test_timestamps_outside_int64_rejected(self, timestamps):
         # the simulator casts frame times to int64: 2**70 became 0 there
         frames = (np.zeros((4, 4), np.uint8), np.full((4, 4), 200, np.uint8))
-        with pytest.raises(ValueError, match="outside the int64 range"):
+        with pytest.raises(ValueError, match="a timestamp must be an integer "
+                           r"(>= -9223372036854775808|<= 9223372036854775807), got"):
             FrameSequence(frames, timestamps)
         assert len(FrameSequence(frames, (-2**63, 2**63 - 1))) == 2
 
@@ -390,6 +391,7 @@ class TestSequenceLoaderFaults:
         ("0\n1000\n", "count mismatch"),
         ("0\n1000\n1000\n", "strictly increasing"),
         ("0\n1000\n2e3\n", "line 3: not an int64 decimal timestamp"),
+        ("0\n1000\n9223372036854775808\n", "must be an integer <= 9223372036854775807"),
     ])
     def test_timestamps_named_fault(self, seq_dir, text, message):
         (seq_dir / "timestamps.txt").write_text(text)
@@ -440,7 +442,7 @@ class TestNetpbmHeaderFaults:
         # a complete raster, so only the cap can refuse it
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5 %d %d 255\n" % (w, h) + bytes(w * h))
-        with pytest.raises(GeometryError, match="side limit"):
+        with pytest.raises(GeometryError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
             read_netpbm(path)
 
     def test_side_at_cap_loads(self, tmp_path):

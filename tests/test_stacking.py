@@ -298,7 +298,7 @@ class TestStackedDump:
         path = tmp_path / "big.mcst"
         header = b"MCST" + struct.pack("<IIQQ", width, height, 0, 10)
         path.write_bytes(header + bytes(16 * width * height))
-        with pytest.raises(GeometryError, match="side limit"):
+        with pytest.raises(GeometryError, match=f"must be an integer <= {MAX_SENSOR_SIDE}, got"):
             load_stacked(path)
 
 
