@@ -1,5 +1,9 @@
 """Shared exception types, and the one owner of each input rule.
 
+Text files (event CSV, timestamps.txt, groundtruth.txt) become lines in
+one way (text_lines): a line ends at LF, CR or CRLF and nowhere else, and
+is stripped; a blank one is skipped, but still counted.
+
 Integer text grammar (event CSV fields and sidecar, timestamps.txt lines,
 PGM/PPM header tokens): an optional leading "-" and ASCII digits, blanks
 around them ignored; "+", "_" and non-ASCII digits are refused. Leading
@@ -17,6 +21,7 @@ A config's sequence field is a list or tuple, stored as a tuple (store_tuple).
 
 import math
 import numbers
+from collections.abc import Iterator
 
 # Largest sensor side accepted, in pixels. Real event cameras stay well
 # below it (DAVIS346: 346x260, Prophesee Gen4: 1280x720), and it bounds
@@ -112,3 +117,12 @@ def decimal_int(field: str) -> int | None:
     digits = digits.lstrip("0")
     value = int(digits or "0") if len(digits) <= _DIGITS_MAX else 10**_DIGITS_MAX
     return -value if field.startswith("-") else value
+
+
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """(number, stripped text) of each non-blank line of a text file."""
+    # surrogateescape: a non-ASCII byte reaches the caller's grammar, which names its line
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for number, raw in enumerate(fh, start=1):
+            if line := raw.strip():
+                yield number, line

@@ -19,10 +19,10 @@ block must hold only "0123456789,-" and newlines, which rules out blanks,
 "+", "_", "#", carriage returns and non-ASCII bytes, and no field longer
 than _FIELD_MAX bytes; np.loadtxt then parses it as int64 in one call. Any
 other file, and any file the fast path cannot load, goes to the line
-parser, which alone names the line of an error and accepts the grammar
-in full. Within the fast path's alphabet both accept and refuse the same
-fields, so a file loads to the same stream, or fails with the same error,
-on either path.
+parser, which reads errors.text_lines, alone names the line of an error
+and accepts the grammar in full. Within the fast path's alphabet both
+accept and refuse the same fields, so a file loads to the same stream, or
+fails with the same error, on either path.
 Writing formats bounded chunks of events in one call each.
 """
 
@@ -41,6 +41,7 @@ from .errors import (
     decimal_int,
     require_int,
     require_side,
+    text_lines,
 )
 
 # The bytes a data line may hold on the fast read path.
@@ -262,33 +263,27 @@ def _load_events_lines(path, geometry: tuple[int, int] | None) -> EventStream:
     path that names the line of an error."""
     rows: list[list[int]] = []
     file_geometry: tuple[int, int] | None = None
-    # surrogateescape turns a non-ASCII byte into a lone surrogate instead
-    # of raising mid-read, so the isascii check below can name its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line.isascii():
-                raise EventParseError("non-ASCII byte", lineno)
-            if not line:
-                continue
-            if line.startswith("#"):
-                file_geometry = _sidecar(line) or file_geometry
-                continue
-            fields = [decimal_int(f) for f in line.split(",")]
-            if None in fields:
-                raise EventParseError(f"non-decimal field in {line!r}", lineno)
-            if len(fields) != 4:
-                raise EventParseError(
-                    f"expected 4 comma-separated fields, got {len(fields)}", lineno
-                )
-            t, _, _, p = fields
-            if p not in (-1, 1):
-                raise EventParseError(f"polarity {p} not in {{-1, +1}}", lineno)
-            if rows and t < rows[-1][0]:
-                raise EventParseError(
-                    f"timestamp {t} decreases below previous {rows[-1][0]}", lineno
-                )
-            rows.append(fields)
+    for lineno, line in text_lines(path):
+        if not line.isascii():
+            raise EventParseError("non-ASCII byte", lineno)
+        if line.startswith("#"):
+            file_geometry = _sidecar(line) or file_geometry
+            continue
+        fields = [decimal_int(f) for f in line.split(",")]
+        if None in fields:
+            raise EventParseError(f"non-decimal field in {line!r}", lineno)
+        if len(fields) != 4:
+            raise EventParseError(
+                f"expected 4 comma-separated fields, got {len(fields)}", lineno
+            )
+        t, _, _, p = fields
+        if p not in (-1, 1):
+            raise EventParseError(f"polarity {p} not in {{-1, +1}}", lineno)
+        if rows and t < rows[-1][0]:
+            raise EventParseError(
+                f"timestamp {t} decreases below previous {rows[-1][0]}", lineno
+            )
+        rows.append(fields)
     columns = zip(*rows) if rows else ((),) * 4
     return _build(*columns, geometry, file_geometry)
 

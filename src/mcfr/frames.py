@@ -4,21 +4,31 @@ A sequence directory holds zero-padded numbered images (binary PGM "P5"
 for grayscale, PPM "P6" for color, maxval 255), a "timestamps.txt" with
 one int64 microsecond value per line, and optionally "groundtruth.txt"
 with one "x,y,w,h" line per frame (floats, 0-based top-left origin).
+Both text files become lines through mcfr.errors.text_lines, and the
+width, height and maxval of an image header are each one _HEADER_TOKEN.
 Header tokens and timestamps follow the integer text grammar, and image
 sides the sensor-side rule, both stated in mcfr.errors.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, McfrError, decimal_int, require_int, require_side
+from .errors import (GeometryError, McfrError, decimal_int, require_int, require_side,
+                     text_lines)
 
 # BT.601 luma weights; the conversion used everywhere color -> gray.
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# Whitespace (space, tab, CR, LF) and "#" comments up to a CR or LF, then a
+# token: other bytes, "#" among them. A comment ends only at CR, LF or the
+# end, and a token never starts with "#": the bytes split in one way only.
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*(?![^\r\n]))*"
+                           rb"([^ \t\r\n#][^ \t\r\n]*)")
 
 
 @dataclass(frozen=True)
@@ -105,23 +115,13 @@ def read_netpbm(path) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise McfrError(f"{path}: not a binary PGM/PPM file")
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with '#' comments allowed between them.
     pos = 2
     tokens = []
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos] in b" \t\r\n":
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] not in b"\r\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and data[pos] not in b" \t\r\n":
-            pos += 1
-        if pos == start:
+    for _ in range(3):
+        if (token := _HEADER_TOKEN.match(data, pos)) is None:
             raise McfrError(f"{path}: truncated header")
-        tokens.append(data[start:pos])
+        tokens.append(token[1])
+        pos = token.end()
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = (decimal_int(t.decode("ascii", "surrogateescape")) for t in tokens)
     if None in (w, h, maxval):
@@ -130,13 +130,12 @@ def read_netpbm(path) -> np.ndarray:
     require_side(f"{path}: height", h)
     if maxval != 255:
         raise McfrError(f"{path}: unsupported maxval {maxval}")
-    channels = 1 if magic == b"P5" else 3
-    n = w * h * channels
+    shape = (h, w) if magic == b"P5" else (h, w, 3)
+    n = math.prod(shape)
     raster = data[pos : pos + n]
     if len(raster) != n:
         raise McfrError(f"{path}: truncated raster")
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    return arr.reshape((h, w) if channels == 1 else (h, w, 3)).copy()
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
 
 
 def save_sequence(seq: FrameSequence, directory, boxes=None) -> None:
@@ -169,17 +168,12 @@ def load_sequence(directory) -> FrameSequence:
         raise McfrError(f"missing {ts_path}")
     frames = tuple(read_netpbm(p) for p in paths)
     timestamps = []
-    # read as the event CSV is: a non-ASCII byte becomes a surrogate, which
-    # the grammar refuses, instead of a decoding error
-    with open(ts_path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not (line := raw.strip()):
-                continue
-            t = decimal_int(line)
-            if t is None:
-                raise McfrError(f"{ts_path}: line {lineno}: not an int64 "
-                                f"decimal timestamp: {line!r}")
-            timestamps.append(t)
+    for lineno, line in text_lines(ts_path):
+        t = decimal_int(line)
+        if t is None:
+            raise McfrError(f"{ts_path}: line {lineno}: not an int64 "
+                            f"decimal timestamp: {line!r}")
+        timestamps.append(t)
     try:
         # a count that does not match the frames, or values past int64 or not rising
         return FrameSequence(frames=frames, timestamps=tuple(timestamps))
@@ -193,10 +187,7 @@ def load_groundtruth(directory) -> np.ndarray:
     if not path.exists():
         raise McfrError(f"missing {path}")
     rows = []
-    text = path.read_text(encoding="ascii", errors="replace")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(path):
         try:
             x, y, w, h = box = [float(v) for v in line.split(",")]
             if not (np.isfinite(box).all() and w > 0 and h > 0):

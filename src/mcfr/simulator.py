@@ -104,7 +104,8 @@ def frames_to_events(fs: FrameSequence, cfg: SimConfig, seed: int = 0) -> EventS
         # the end of the interval rather than dividing by zero
         frac = np.divide(gap, span, out=np.ones_like(gap), where=span != 0)
         frac = np.clip(frac, 0.0, 1.0)
-        t = np.clip(np.rint(ta + frac * (tb - ta)).astype(np.int64), ta, tb - 1)
+        # round the offset from ta, not the time: float64 drops bits past 2**53
+        t = ta + np.clip(np.rint(frac * (tb - ta)), 0, tb - 1 - ta).astype(np.int64)
         y, x = np.divmod(at, w)
         p = np.sign(signed).astype(np.int8)
         order = np.lexsort((p, x, y, t))

@@ -6,23 +6,25 @@ time per pixel and polarity (0 where no event fell). Both come from one
 pass: every event gets a cell index (polarity plane, row, column) into a
 (2, H, W) grid. Everything here is a pure function of immutable inputs.
 
-Binary dump format: magic "MCST", u32 width, u32
-height (each a sensor side as mcfr.errors defines it), u64 t0, u64 t1
-(little-endian), then four planes of 32-bit IEEE-754 little-endian floats
-in [0, 1], in the order c_pos, c_neg, t_pos, t_neg.
+Binary dump format, its header one struct (_HEADER): magic "MCST", u32
+width, u32 height (each a sensor side as mcfr.errors defines it), u64 t0,
+u64 t1 (little-endian), then four planes of 32-bit IEEE-754 little-endian
+floats in [0, 1], in the order c_pos, c_neg, t_pos, t_neg.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError, McfrError, require_side
+from .errors import GeometryError, McfrError, require_int, require_side
 from .events import EventStream, TimeWindow, slice_window
 
 _MAGIC = b"MCST"
+_HEADER = struct.Struct("<4sIIQQ")  # magic, width, height, t0, t1
 
 
 @dataclass(frozen=True)
@@ -80,33 +82,29 @@ def assemble_input(rgb: np.ndarray, f: StackedFrame) -> np.ndarray:
 
 
 def save_stacked(f: StackedFrame, path) -> None:
-    if f.window.t0 < 0 or f.window.t1 >= 1 << 64:
-        raise McfrError(f"dump format stores window bounds as u64, got {f.window}")
+    for bound in (f.window.t0, f.window.t1):
+        require_int("a window bound stored as u64", bound, 0, 2**64 - 1, McfrError)
     norm = normalize_stacked(f)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIQQ", f.width, f.height, f.window.t0, f.window.t1))
-        for plane in norm:
-            fh.write(plane.astype("<f4").tobytes())
+        fh.write(_HEADER.pack(_MAGIC, f.width, f.height, f.window.t0, f.window.t1))
+        fh.write(norm.astype("<f4").tobytes())
 
 
 def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     """Returns (4, H, W) float32 planes plus window and geometry."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise McfrError(f"{path}: bad magic, not a stacked-frame dump")
-    if len(data) < 28:
+    if len(data) < _HEADER.size:
         raise McfrError(f"{path}: truncated header")
-    width, height, t0, t1 = struct.unpack_from("<IIQQ", data, 4)
+    _, width, height, t0, t1 = _HEADER.unpack_from(data)
     require_side(f"{path}: width", width)
     require_side(f"{path}: height", height)
-    if t1 <= t0:
-        raise McfrError(f"{path}: empty or inverted window [{t0}, {t1})")
-    need = 4 + 24 + 4 * width * height * 4
+    require_int(f"{path}: the end of window [{t0}, t1)", t1, t0 + 1, error=McfrError)
+    need = _HEADER.size + 4 * width * height * 4
     if len(data) != need:
         raise McfrError(f"{path}: expected {need} bytes, got {len(data)}")
-    planes = np.frombuffer(data, dtype="<f4", offset=28).reshape(4, height, width)
+    planes = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(4, height, width)
     # min and max, not a mask: NaN propagates through both and fails the test
     if not (planes.min() >= 0.0 and planes.max() <= 1.0):
         raise McfrError(f"{path}: plane values outside [0, 1]")

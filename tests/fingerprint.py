@@ -6,18 +6,20 @@ meant to be exact can be checked to the byte against its parent.
     diff before.txt after.txt
 
 The script imports the mcfr of the tree it sits in (its ../src), whatever
-PYTHONPATH says. Each preset (tiny, reduced and the paper's MCFRConfig) runs
-with fixed seeds through: simulated events; normalized and assembled planes
-and spikes for every window; UEE features, fusion features and logits of
-two crops; two train_step losses with every parameter and SGD velocity
-after them; and the checkpoint, as two stages: "checkpoint.config" hashes
-its header and config JSON, and "checkpoint.params" its f32 body, so a
-change to the config format shows only in the first. A last stage
-repeats features, logits and two train steps on a batch of crops that
-spans several column chunks of every pooled conv (nn._col_chunks), so
-the chunk boundaries are hashed too. Every window's event offsets fit
-int64, the range in which the event path gives a result at all. It is not
-named test_*, so pytest does not collect it.
+PYTHONPATH says. Each preset (tiny, reduced and the paper's MCFRConfig)
+runs with fixed seeds through: simulated events; normalized and assembled
+planes and spikes for every window; the files that save_events,
+save_sequence and save_stacked (one dump per frame window) write
+("files.written"), and what the loaders return for them ("files.read"); UEE
+features, fusion features and logits of two crops; two train_step losses
+with every parameter and SGD velocity after them; and the checkpoint, as
+two stages: "checkpoint.config" hashes its header and config JSON, and
+"checkpoint.params" its f32 body, so a change to the config format shows
+only in the first. A last stage repeats features, logits and two train
+steps on a batch of crops that spans several column chunks of every pooled
+conv (nn._col_chunks), so the chunk boundaries are hashed too. Every
+window's event offsets fit int64, the range in which the event path gives a
+result at all. It is not named test_*, so pytest does not collect it.
 """
 
 import hashlib
@@ -30,8 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from mcfr.events import TimeWindow
-from mcfr.frames import to_rgb01
+from mcfr.events import TimeWindow, load_events, save_events
+from mcfr.frames import load_groundtruth, load_sequence, save_sequence, to_rgb01
 from mcfr.network import (
     MCFRConfig,
     MCFRModel,
@@ -45,7 +47,8 @@ from mcfr.network import (
 from mcfr.nn import SGDState
 from mcfr.simulator import SceneSpec, SimConfig, frames_to_events, gen_synthetic_sequence
 from mcfr.snn import encode_events_to_spikes, uee_forward_spikes
-from mcfr.stacking import assemble_input, normalize_stacked, stack_events
+from mcfr.stacking import (assemble_input, load_stacked, normalize_stacked, save_stacked,
+                           stack_events)
 
 # (name, config, crops of the batch stage): 128 reduced crops fill three
 # chunks of uer.1, which holds 50 samples a chunk, and 16 paper crops fill
@@ -73,6 +76,26 @@ def corner(box, size: int, width: int, height: int) -> tuple[int, int]:
     x = min(max(int(round(box[0] + box[2] / 2 - size / 2)), 0), width - size)
     y = min(max(int(round(box[1] + box[3] / 2 - size / 2)), 0), height - size)
     return x, y
+
+
+def files_digests(seq, boxes, stream, windows) -> tuple[str, str]:
+    """The bytes that the savers write, then what the loaders read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_events(stream, tmp / "events.csv")
+        save_sequence(seq, tmp / "seq", boxes)
+        for i, window in enumerate(windows):
+            save_stacked(stack_events(stream, window), tmp / f"{i}.mcst")
+        written = [np.frombuffer(str(p.relative_to(tmp)).encode() + p.read_bytes(), np.uint8)
+                   for p in sorted(tmp.rglob("*")) if p.is_file()]
+        back = load_events(tmp / "events.csv")
+        loaded = load_sequence(tmp / "seq")
+        read = [back.t, back.x, back.y, back.p, np.array([back.width, back.height]),
+                *loaded.frames, np.array(loaded.timestamps), load_groundtruth(tmp / "seq")]
+        for i in range(len(windows)):
+            planes, window, width, height = load_stacked(tmp / f"{i}.mcst")
+            read += [planes, np.array([window.t0, window.t1, width, height])]
+    return digest(*written), digest(*read)
 
 
 def train_digest(model: MCFRModel, crops, uee) -> str:
@@ -105,6 +128,9 @@ def stages(config: MCFRConfig, seed: int, batch_size: int):
         spikes.append(encode_events_to_spikes(stream, window, config.uee.srm_params()))
     yield "planes", digest(*planes)
     yield "spikes", digest(*spikes)
+    written, read = files_digests(seq, boxes, stream, frame_windows)
+    yield "files.written", written
+    yield "files.read", read
 
     model = MCFRModel.initialize(config, seed)
     x7s, frame_spikes = {}, {}

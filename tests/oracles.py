@@ -67,7 +67,8 @@ def frames_to_events_oracle(fs, cfg, seed=0):
                 gap = sign * ((k + 1) * thr) + (ref[j] - l0[j])
                 span = l1[j] - l0[j]
                 frac = 1.0 if span == 0 else min(max(gap / span, 0.0), 1.0)
-                t = min(max(round(ta + frac * (tb - ta)), ta), tb - 1)
+                # rounded as an offset from ta, then added exactly
+                t = ta + min(max(round(frac * (tb - ta)), 0), tb - 1 - ta)
                 pair.append((t, j // w, j % w, sign))
             ref[j] = ref[j] + sign * (n * thr)
         events += sorted(pair)

@@ -3,8 +3,8 @@ runnable: its stages run twice in one process and give the same lines."""
 
 from .fingerprint import PRESETS, stages
 
-STAGES = ("events", "planes", "spikes", "uee", "fusion", "train", "checkpoint.config",
-          "checkpoint.params", "batch.fusion", "batch.train")
+STAGES = ("events", "planes", "spikes", "files.written", "files.read", "uee", "fusion",
+          "train", "checkpoint.config", "checkpoint.params", "batch.fusion", "batch.train")
 
 
 def test_stages_repeat_on_the_tiny_preset():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfr.errors import MAX_SENSOR_SIDE, ConfigError, GeometryError, McfrError
+from mcfr.errors import MAX_SENSOR_SIDE, ConfigError, EventParseError, GeometryError, McfrError
+from mcfr.events import load_events
 from mcfr.frames import (
     FrameSequence,
     load_groundtruth,
@@ -165,6 +166,36 @@ def test_frames_to_events_matches_scalar_oracle(seq, c_pos, c_neg, noise, seed):
     assert stream.x.tolist() == x
     assert stream.y.tolist() == y
     assert stream.p.tolist() == p
+
+
+def shifted(seq, shift):
+    return FrameSequence(seq.frames, tuple(t + shift for t in seq.timestamps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seq=small_sequences(), data=st.data())
+def test_frames_to_events_shift_moves_only_event_times(seq, data):
+    # an event's time is an offset from the frame before it, so shifting every
+    # frame time, as far as int64 reaches, shifts every event time alike
+    top = 2**63 - 1 - seq.timestamps[-1]
+    shift = data.draw(st.integers(0, top) | st.integers(2**53, top), label="shift")
+    base = frames_to_events(seq, SimConfig(), 0)
+    moved = frames_to_events(shifted(seq, shift), SimConfig(), 0)
+    assert moved.t.tolist() == [t + shift for t in base.t.tolist()]
+    for name in "xyp":
+        assert np.array_equal(getattr(moved, name), getattr(base, name))
+
+
+@pytest.mark.parametrize("ta", [2**53, 2**62, 2**63 - 1000])
+def test_frames_to_events_keeps_offsets_past_float64_integers(ta):
+    # a float64 time past 2**53 rounded the offsets to {0, 998} at 2**62,
+    # and past int64 near 2**63 - 1000
+    a = (np.arange(16, dtype=np.uint8) * 16).reshape(4, 4)
+    seq = FrameSequence((a, 255 - a), (0, 999))
+    base = frames_to_events(seq, SimConfig(), 0)
+    moved = frames_to_events(shifted(seq, ta), SimConfig(), 0)
+    assert len(set(base.t.tolist())) > 100
+    assert (moved.t - ta).tolist() == base.t.tolist()
 
 
 class TestPerturbExposure:
@@ -402,6 +433,8 @@ class TestSequenceLoaderFaults:
         ("1,2,3,4\n1,2,x,4\n", 2),  # non-numeric field
         ("1,2,3,4\n1,2,3\n1,2,3,4\n", 2),  # ragged row
         ("1,2,3,4,5\n", 1),
+        ("1,2,3,4\x0c5,6,7,8\n", 1),  # a form feed does not end a line
+        ("1,2,3,4\n\x0b\nnan,1,1,1\n", 3),  # nor does a vertical tab
     ])
     def test_groundtruth_named_fault(self, seq_dir, text, line):
         (seq_dir / "groundtruth.txt").write_text(text)
@@ -421,6 +454,36 @@ class TestSequenceLoaderFaults:
         assert np.allclose(load_groundtruth(seq_dir), boxes, atol=1e-6)
 
 
+# one layout of lines for each text loader: "{0}" is a valid line, and the
+# bad line x comes at the line named
+LINE_LAYOUTS = [
+    ("crlf", "{0}\r\n{0}\r\nx\r\n", 3),
+    ("cr", "{0}\r{0}\rx\r", 3),
+    ("blank and whitespace-only", "{0}\n\n  \n\t\n{0}\n \t \nx\n", 7),
+    ("no final newline", "{0}\n{0}\nx", 3),
+    ("crlf and blank", "\r\n{0}\r\n\r\n\r{0}\nx", 6),
+]
+
+
+@pytest.mark.parametrize("layout,line", [c[1:] for c in LINE_LAYOUTS],
+                         ids=[c[0] for c in LINE_LAYOUTS])
+def test_text_loaders_name_the_same_line(tmp_path, layout, line):
+    save_sequence(FrameSequence((np.zeros((2, 3), np.uint8),) * 2, (0, 1000)),
+                  tmp_path, boxes=[(0, 0, 1, 1)] * 2)
+    (tmp_path / "events.csv").write_bytes(layout.format("0,1,1,1").encode())
+    with pytest.raises(EventParseError, match=f"^line {line}:"):
+        load_events(tmp_path / "events.csv")
+    (tmp_path / "timestamps.txt").write_bytes(layout.format("0").encode())
+    with pytest.raises(McfrError, match=f"timestamps.txt: line {line}:"):
+        load_sequence(tmp_path)
+    (tmp_path / "groundtruth.txt").write_bytes(layout.format("1,2,3,4").encode())
+    with pytest.raises(McfrError, match=f"groundtruth.txt: line {line}:"):
+        load_groundtruth(tmp_path)
+
+
+RASTER = bytes(range(12))  # a 4x3 PGM raster
+
+
 class TestNetpbmHeaderFaults:
     @pytest.mark.parametrize("data,message", [
         (b"P5\n", "truncated header"),
@@ -436,6 +499,25 @@ class TestNetpbmHeaderFaults:
         path.write_bytes(data)
         with pytest.raises(McfrError, match=message):
             read_netpbm(path)
+
+    @pytest.mark.parametrize("data,outcome", [
+        (b"P5#a\n4 #b\n3\t#c\n255\n" + RASTER, (3, 4)),
+        (b"P5 # ends in CR\r4 3 255\n" + RASTER, (3, 4)),
+        (b"P5 4#3 3 255\n" + RASTER, "non-numeric header field"),
+        (b"P5 4 3 # runs to the end", "truncated header"),
+        (b"P5\t4\r3\t255\r" + RASTER, (3, 4)),
+        (b"P5 4 3 255" + RASTER, "non-numeric header field"),  # the raster joins maxval
+    ], ids=["comment between each pair", "comment ends in CR", "4#3 is one token",
+            "comment to the end", "tab and CR separators", "no whitespace after maxval"])
+    def test_header_outcome(self, tmp_path, data, outcome):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        if isinstance(outcome, str):
+            with pytest.raises(McfrError, match=outcome):
+                read_netpbm(path)
+        else:
+            expected = np.frombuffer(RASTER, np.uint8).reshape(outcome)
+            assert np.array_equal(read_netpbm(path), expected)
 
     @pytest.mark.parametrize("w,h", [(MAX_SENSOR_SIDE + 1, 1), (1, MAX_SENSOR_SIDE + 1)])
     def test_side_over_cap(self, tmp_path, w, h):

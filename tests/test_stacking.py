@@ -280,8 +280,8 @@ class TestStackedDump:
             load_stacked(path)
 
     @pytest.mark.parametrize("width,height,t0,t1,message", [
-        (3, 2, 10, 5, r"inverted window \[10, 5\)"),
-        (3, 2, 7, 7, r"inverted window \[7, 7\)"),
+        (3, 2, 10, 5, r"end of window \[10, t1\) must be an integer >= 11, got 5"),
+        (3, 2, 7, 7, r"end of window \[7, t1\) must be an integer >= 8, got 7"),
         (0, 2, 0, 10, "width must be an integer >= 1, got 0"),
         (3, 0, 0, 10, "height must be an integer >= 1, got 0"),
     ])
