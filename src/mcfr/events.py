@@ -71,9 +71,9 @@ _INT64 = np.iinfo(np.int64)
 class TimeWindow:
     """Half-open interval [t0, t1) in microseconds.
 
-    The bounds are integers (not bools) and may lie past int64; t0 may be
-    negative (the synthetic window before a sequence's first frame), while
-    events themselves always have t >= 0.
+    The bounds are integers (not bools), stored as Python ints, and may lie
+    past int64; t0 may be negative (the synthetic window before a sequence's
+    first frame), while events themselves always have t >= 0.
     """
 
     t0: int
@@ -81,8 +81,9 @@ class TimeWindow:
 
     def __post_init__(self):
         require_int("TimeWindow.t0", self.t0, error=ValueError)
-        # a window is not empty; a numpy t0 + 1 would wrap at the int64 maximum
-        require_int("TimeWindow.t1", self.t1, int(self.t0) + 1, error=ValueError)
+        object.__setattr__(self, "t0", int(self.t0))
+        require_int("TimeWindow.t1", self.t1, self.t0 + 1, error=ValueError)  # not empty
+        object.__setattr__(self, "t1", int(self.t1))
 
     @property
     def duration(self) -> int:

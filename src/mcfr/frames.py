@@ -33,7 +33,7 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*(?![^\r\n]))*"
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Frames (uint8, (H,W) gray or (H,W,3) color) with per-frame timestamps."""
+    """A tuple of frames (uint8, (H,W) gray or (H,W,3) color), one int time each."""
 
     frames: tuple[np.ndarray, ...]
     timestamps: tuple[int, ...]
@@ -58,6 +58,8 @@ class FrameSequence:
             require_int("a timestamp", t, -2**63, 2**63 - 1, ValueError)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("timestamps must be strictly increasing")
+        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "timestamps", tuple(map(int, ts)))
 
     def __len__(self) -> int:
         return len(self.frames)

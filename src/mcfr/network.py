@@ -9,15 +9,15 @@ are fixed in `snn`. Its frozen weights `uee.i.w` are arrays of `params`
 like every other. The config names its ablation variant, and
 ABLATION_VARIANTS lists the branches and input groups each one keeps.
 
-Data flow for one sample: the 7-channel assembled input, with the channel
-groups the ablation variant leaves out set to zero, passes through a
-learned 1x1 channel transform (tau, 7->3) into the shared convolutional
-branch (CFE); the raw RGB planes feed the RGB-only branch (UER); the event
-branch (UEE, spiking, frozen) contributes a feature map computed outside
-the differentiable path. Enabled branch outputs are concatenated in the
-fixed order UEE|CFE|UER, selected by a 1x1 fusion convolution, flattened,
-and classified by fc4 -> fc5 -> fc6^k, where each domain k owns its own
-two-logit fc6 branch.
+Data flow for one sample: the assembled input (INPUT_GROUPS holds its
+channel groups and their widths), with the groups the ablation variant
+leaves out set to zero, passes through a learned 1x1 channel transform (tau,
+7->3) into the shared convolutional branch (CFE); the raw RGB planes feed
+the RGB-only branch (UER); the event branch (UEE, spiking, frozen)
+contributes a feature map computed outside the differentiable path. Enabled
+branch outputs are concatenated in the fixed order UEE|CFE|UER, selected by
+a 1x1 fusion convolution, flattened, and classified by fc4 -> fc5 -> fc6^k,
+where each domain k owns its own two-logit fc6 branch.
 
 The differentiable path is written down once, as ordered layer tables
 (`_layers`): "uee" is empty, since the event features enter the fusion as
@@ -38,8 +38,8 @@ as `forward` gives it and `features_forward` (scoring) does not;
 `_run_backward` pops each one as it uses it. Only a pooled conv's cache
 costs work, the argmax of each pooled chunk; beside it a conv's cache is
 its input and weight, from which `nn.conv2d_backward` rebuilds the columns
-chunk by chunk. A checkpoint holds the config and then those arrays as one
-f32 run in param_shapes order: the config is its table of contents.
+chunk by chunk. A checkpoint is one _HEADER, the config, then those arrays
+as one f32 run in param_shapes order: the config is its table of contents.
 
 Training uses softmax cross-entropy and SGD with per-group learning rates;
 a train step for domain k touches shared parameters and fc6^k only, and
@@ -89,6 +89,7 @@ from .snn import POLARITIES, UEE_KERNEL, SRMParams, UeeNetwork
 
 CHECKPOINT_MAGIC = b"MCFR"
 CHECKPOINT_VERSION = 4
+_HEADER = struct.Struct("<4sHI")  # magic, version, config JSON length
 
 
 class ConvBlockSpec(NamedTuple):
@@ -137,7 +138,8 @@ class SRMNetSpec:
 
 
 ALL_BRANCHES = ("uee", "cfe", "uer")
-ALL_INPUTS = ("rgb", "counts", "timestamps")  # 3, 2 and 2 input channels
+INPUT_GROUPS = {"rgb": 3, "counts": 2, "timestamps": 2}  # in assemble_input order
+ALL_INPUTS = tuple(INPUT_GROUPS)
 
 # Variant name -> (branches kept, in UEE|CFE|UER order; input groups kept):
 # the eight ablations of the paper plus the full model.
@@ -288,13 +290,13 @@ def _conv_blocks(prefix: str, blocks, in_c: int) -> list[tuple]:
 def _layers(config: MCFRConfig, domain: int = 0) -> dict[str, list[tuple]]:
     """The layer tables of the differentiable path (see the module
     docstring), for every branch whether enabled or not."""
-    uer = _conv_blocks("uer", config.uer, 3)
+    uer = _conv_blocks("uer", config.uer, INPUT_GROUPS["rgb"])
     if _blocks_hw(config.input_crop, config.uer) != config.feature_hw:
         uer.append(("adapt", config.feature_hw))
     d0, d1 = config.fc_dims
     return {
         "uee": [],  # frozen: the event features enter the fusion as constants
-        "cfe": [("conv", "tau", (3, 7, 1, 1), 1, 0, None),
+        "cfe": [("conv", "tau", (3, sum(INPUT_GROUPS.values()), 1, 1), 1, 0, None),
                 *_conv_blocks("cfe", config.cfe, 3)],
         "uer": uer,
         "fusion": [("conv", "fusion", (config.fusion_channels,
@@ -459,7 +461,7 @@ def _drop_input_groups(assembled: np.ndarray, flags: AblationFlags) -> np.ndarra
     """The assembled input with the channel groups the variant leaves out
     set to zero; the input itself when it keeps them all."""
     kept = ABLATION_VARIANTS[flags.variant][1]
-    keep = np.repeat([group in kept for group in ALL_INPUTS], (3, 2, 2))
+    keep = np.repeat([group in kept for group in INPUT_GROUPS], list(INPUT_GROUPS.values()))
     return assembled if keep.all() else np.where(keep[:, None, None], assembled, 0.0)
 
 
@@ -467,10 +469,10 @@ def _features(model: MCFRModel, assembled: np.ndarray,
               uee_feat: np.ndarray | None, cache: dict | None = None):
     """Flat features (N,D); a given dict gets one cache list per table."""
     cfg = model.config
-    s = cfg.input_crop
-    if assembled.ndim != 4 or assembled.shape[1:] != (7, s, s) or not len(assembled):
+    c, s = sum(INPUT_GROUPS.values()), cfg.input_crop
+    if assembled.ndim != 4 or assembled.shape[1:] != (c, s, s) or not len(assembled):
         raise GeometryError(
-            f"assembled input {assembled.shape} must be (N,7,{s},{s}) with N >= 1")
+            f"assembled input {assembled.shape} must be (N,{c},{s},{s}) with N >= 1")
     n = assembled.shape[0]
     if cfg.ablation.use_uee:
         if uee_feat is None:
@@ -479,7 +481,7 @@ def _features(model: MCFRModel, assembled: np.ndarray,
         if uee_feat.shape != expect:
             raise GeometryError(f"uee_feat shape {uee_feat.shape} != {expect}")
     assembled = _drop_input_groups(assembled, cfg.ablation)
-    inputs = {"uee": uee_feat, "cfe": assembled, "uer": assembled[:, :3]}
+    inputs = {"uee": uee_feat, "cfe": assembled, "uer": assembled[:, :INPUT_GROUPS["rgb"]]}
     tables = _layers(cfg)
 
     def run(name, x):
@@ -626,7 +628,7 @@ def save_checkpoint(model: MCFRModel, path) -> None:
         raise NonFiniteError(f"non-finite f32 values in {bad}")
     blob = model.config.canonical_json().encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(blob)))
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         fh.writelines(arr.tobytes() for arr in body.values())
 
@@ -646,13 +648,14 @@ def _decode_config(blob: bytes, path) -> MCFRConfig:
 def load_checkpoint(path) -> MCFRModel:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC or len(data) < 10:
+    if data[:4] != CHECKPOINT_MAGIC or len(data) < _HEADER.size:
         raise CheckpointError(f"{path}: bad magic or truncated header")
-    version, cfg_len = struct.unpack_from("<HI", data, 4)
+    _, version, cfg_len = _HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    config = _decode_config(data[10 : 10 + cfg_len], path)
-    size = max(0, len(data) - 10 - cfg_len)  # bytes of parameter data
+    body = _HEADER.size + cfg_len  # where the parameter data starts
+    config = _decode_config(data[_HEADER.size : body], path)
+    size = max(0, len(data) - body)  # bytes of parameter data
     # each fc6 head holds at least 4 floats: refuse a domain count the data
     # cannot cover before param_shapes pays for every domain
     if size < 16 * config.num_domains:
@@ -664,7 +667,7 @@ def load_checkpoint(path) -> MCFRModel:
     if size != 4 * sum(counts):
         raise CheckpointError(f"{path}: parameter data is {size} bytes, "
                               f"the config needs {4 * sum(counts)}")
-    values = np.frombuffer(data, dtype="<f4", offset=10 + cfg_len)
+    values = np.frombuffer(data, dtype="<f4", offset=body)
     if not np.isfinite(values).all():
         raise CheckpointError(f"{path}: non-finite parameter values")
     parts = np.split(values, np.cumsum(counts)[:-1])

@@ -105,7 +105,11 @@ def frames_to_events(fs: FrameSequence, cfg: SimConfig, seed: int = 0) -> EventS
         frac = np.divide(gap, span, out=np.ones_like(gap), where=span != 0)
         frac = np.clip(frac, 0.0, 1.0)
         # round the offset from ta, not the time: float64 drops bits past 2**53
-        t = ta + np.clip(np.rint(frac * (tb - ta)), 0, tb - 1 - ta).astype(np.int64)
+        dt = float(tb - ta)
+        off = np.rint(frac * dt)
+        end = off == dt  # an offset below float(tb - ta) is at most tb - 1 - ta already
+        off = np.where(end, 0, off).astype(np.uint64) + end * np.uint64(min(dt, tb - 1 - ta))
+        t = (off + np.uint64(ta % 2**64)).view(np.int64)  # ta + off, exact modulo 2**64
         y, x = np.divmod(at, w)
         p = np.sign(signed).astype(np.int8)
         order = np.lexsort((p, x, y, t))

@@ -1,10 +1,10 @@
 """Stacked event grids: per-polarity counts and latest timestamps.
 
-For a time window W, the count grid holds the number of events per pixel
-and polarity inside W, and the timestamp grid holds the most recent event
-time per pixel and polarity (0 where no event fell). Both come from one
-pass: every event gets a cell index (polarity plane, row, column) into a
-(2, H, W) grid. Everything here is a pure function of immutable inputs.
+For a time window W, the count grid holds the number of events per pixel and
+polarity inside W, and the timestamp grid the most recent event time per pixel
+and polarity (0 where no event fell). One pass gives both: every event gets a
+cell index (polarity plane, row, column) into a (2, H, W) grid, and a frame's
+size is its planes' shape. Everything is a pure function of immutable inputs.
 
 Binary dump format, its header one struct (_HEADER): magic "MCST", u32
 width, u32 height (each a sensor side as mcfr.errors defines it), u64 t0,
@@ -34,8 +34,6 @@ class StackedFrame:
     t_pos: np.ndarray  # (H, W) int64 latest timestamp, 0 where empty
     t_neg: np.ndarray
     window: TimeWindow
-    width: int
-    height: int
 
 
 def stack_events(stream: EventStream, window: TimeWindow) -> StackedFrame:
@@ -48,7 +46,7 @@ def stack_events(stream: EventStream, window: TimeWindow) -> StackedFrame:
     latest = np.zeros((2, h, w), dtype=np.int64)
     # timestamps are >= 0, so max against the 0 fill is safe; ravel is a view
     np.maximum.at(latest.ravel(), cell, sub.t)
-    return StackedFrame(*counts, *latest, window, w, h)
+    return StackedFrame(*counts, *latest, window)
 
 
 def normalize_stacked(f: StackedFrame) -> np.ndarray:
@@ -59,7 +57,7 @@ def normalize_stacked(f: StackedFrame) -> np.ndarray:
     int64 with McfrError) where an event exists and 0 elsewhere.
     """
     denom = max(1, int(max(f.c_pos.max(), f.c_neg.max())))
-    out = np.zeros((4, f.height, f.width), dtype=np.float64)
+    out = np.zeros((4, *f.c_pos.shape), dtype=np.float64)
     for i, (count, latest) in enumerate([(f.c_pos, f.t_pos), (f.c_neg, f.t_neg)]):
         out[i] = count / denom
         hit = count > 0
@@ -69,15 +67,13 @@ def normalize_stacked(f: StackedFrame) -> np.ndarray:
 
 def assemble_input(rgb: np.ndarray, f: StackedFrame) -> np.ndarray:
     """(7, H, W) network input, channels r, g, b, c_pos, c_neg, t_pos,
-    t_neg: a format contract.
+    t_neg: a format contract, whose groups network.INPUT_GROUPS lists.
 
     rgb must be (3, H, W) scaled to [0, 1]. Every channel group is filled;
     the network zeroes the groups an ablation variant leaves out.
     """
-    if rgb.shape != (3, f.height, f.width):
-        raise GeometryError(
-            f"rgb shape {rgb.shape} does not match stacked {f.height}x{f.width}"
-        )
+    if rgb.shape != (3, *f.c_pos.shape):
+        raise GeometryError(f"rgb shape {rgb.shape} does not match stacked {f.c_pos.shape}")
     return np.concatenate([rgb, normalize_stacked(f)])
 
 
@@ -85,8 +81,9 @@ def save_stacked(f: StackedFrame, path) -> None:
     for bound in (f.window.t0, f.window.t1):
         require_int("a window bound stored as u64", bound, 0, 2**64 - 1, McfrError)
     norm = normalize_stacked(f)
+    _, height, width = norm.shape
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, f.width, f.height, f.window.t0, f.window.t1))
+        fh.write(_HEADER.pack(_MAGIC, width, height, f.window.t0, f.window.t1))
         fh.write(norm.astype("<f4").tobytes())
 
 
@@ -108,4 +105,4 @@ def load_stacked(path) -> tuple[np.ndarray, TimeWindow, int, int]:
     # min and max, not a mask: NaN propagates through both and fails the test
     if not (planes.min() >= 0.0 and planes.max() <= 1.0):
         raise McfrError(f"{path}: plane values outside [0, 1]")
-    return planes.copy(), TimeWindow(int(t0), int(t1)), int(width), int(height)
+    return planes.copy(), TimeWindow(t0, t1), width, height

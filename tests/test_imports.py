@@ -1,7 +1,8 @@
 """The library imports nothing beyond the standard library and numpy, and
 its package declares numpy as its only runtime dependency. Only
 errors.text_lines reads a file as text, so every text loader splits lines
-the same way."""
+the same way. A binary header is one module-level struct.Struct constant,
+so its layout is written once."""
 
 import ast
 import re
@@ -90,3 +91,42 @@ def test_only_text_lines_reads_text():
 ])
 def test_text_reads_finds_each_form(source, found):
     assert bool(list(text_reads(ast.parse(source)))) is found
+
+
+def struct_uses(tree: ast.Module):
+    """Line of each use of the struct module other than a module-level
+    constant NAME = struct.Struct(format)."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "struct"}
+    constants = {node.value.func for node in tree.body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "struct":
+            yield node.lineno
+        elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in names
+              and not (node.attr == "Struct" and node in constants)):
+            yield node.lineno
+
+
+def test_struct_only_through_module_constants():
+    uses = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+            for line in struct_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import struct\nH = struct.Struct('<4sHI')", False),
+    ("import struct\nH = struct.Struct('<I')\ndef f(b):\n    return H.unpack_from(b)", False),
+    ("import struct as s\nH = s.Struct('<I')", False),
+    ("import struct\ndef f(n):\n    return struct.pack('<I', n)", True),
+    ("import struct\ndef f(b):\n    return struct.unpack('<I', b)", True),
+    ("import struct\ndef f(b):\n    return struct.unpack_from('<HI', b, 4)", True),
+    ("import struct\ndef f(b):\n    return list(struct.iter_unpack('<I', b))", True),
+    ("import struct\nSIZE = struct.calcsize('<I')", True),
+    ("import struct\ndef f():\n    return struct.Struct('<I')", True),
+    ("import struct as s\ndef f(b):\n    return s.unpack('<I', b)", True),
+    ("from struct import pack", True),
+])
+def test_struct_uses_finds_each_form(source, found):
+    assert bool(list(struct_uses(ast.parse(source)))) is found

@@ -18,6 +18,7 @@ from mcfr.errors import (
     McfrError,
     NonFiniteError,
 )
+from mcfr.events import TimeWindow
 from mcfr.network import (
     ABLATION_VARIANTS,
     CHECKPOINT_VERSION,
@@ -50,8 +51,10 @@ from mcfr.nn import (
     softmax_ce_backward,
     softmax_ce_forward,
 )
+from mcfr.stacking import assemble_input, normalize_stacked, stack_events
+
 from .gradcheck import finite_diff_check
-from .oracles import initialize_oracle, network_backward_oracle
+from .oracles import initialize_oracle, network_backward_oracle, random_stream
 from .strategies import corrupted
 
 
@@ -312,6 +315,19 @@ class TestFusion:
             for variant in ABLATION_VARIANTS
         }
         assert len(set(prints.values())) == len(prints)
+
+
+def test_input_groups_split_what_assemble_input_writes():
+    # the network's table of channel groups agrees with their producer
+    rng = np.random.default_rng(3)
+    f = stack_events(random_stream(rng, 200, 5, 4, 1000), TimeWindow(0, 1000))
+    rgb = rng.random((3, 4, 5))
+    widths = list(network.INPUT_GROUPS.values())
+    pieces = np.split(assemble_input(rgb, f), np.cumsum(widths)[:-1])
+    norm = normalize_stacked(f)
+    assert list(network.INPUT_GROUPS) == ["rgb", "counts", "timestamps"]
+    assert [p.tobytes() for p in pieces] == [rgb.tobytes(), norm[:2].tobytes(),
+                                              norm[2:].tobytes()]
 
 
 # the channel groups of the assembled input each variant leaves out

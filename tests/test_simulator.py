@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr.errors import MAX_SENSOR_SIDE, ConfigError, EventParseError, GeometryError, McfrError
-from mcfr.events import load_events
+from mcfr.events import EventStream, load_events
 from mcfr.frames import (
     FrameSequence,
     load_groundtruth,
@@ -196,6 +196,46 @@ def test_frames_to_events_keeps_offsets_past_float64_integers(ta):
     moved = frames_to_events(shifted(seq, ta), SimConfig(), 0)
     assert len(set(base.t.tolist())) > 100
     assert (moved.t - ta).tolist() == base.t.tolist()
+
+
+def one_pixel_pair(values, ta):
+    frames = tuple(np.full((1, 1), v, np.uint8) for v in values)
+    return FrameSequence(frames, (ta, 2**63 - 1))
+
+
+def oracle_stream(seq, cfg):
+    return EventStream(*frames_to_events_oracle(seq, cfg), seq.width, seq.height)
+
+
+@pytest.mark.parametrize("ta", [-(2**62), -(2**63)])
+def test_frames_to_events_interval_past_int64_matches_oracle(ta):
+    # an interval of 2**63 us or more gives a late event an offset past int64
+    seq = one_pixel_pair((100, 117), ta)
+    stream = frames_to_events(seq, SimConfig())
+    assert stream == oracle_stream(seq, SimConfig()) and len(stream) == 1
+
+
+@pytest.mark.parametrize("ta", [-(2**62), -(2**63)])
+def test_frames_to_events_interval_past_int64_refuses_early_events(ta):
+    # the oracle's first events fall before time 0, which a stream refuses
+    seq = one_pixel_pair((10, 30), ta)
+    with pytest.raises(EventParseError, match="negative timestamp"):
+        oracle_stream(seq, SimConfig())
+    with pytest.raises(EventParseError, match="negative timestamp"):
+        frames_to_events(seq, SimConfig())
+
+
+@pytest.mark.parametrize("ta", [-(2**62), -(2**63), 2**63 - 1 - (2**60 + 130)])
+def test_frames_to_events_caps_a_crossing_at_the_interval_end(ta):
+    # a threshold of exactly the log step puts the one crossing at the end,
+    # where float64 rounds the interval up: past 2**64 for ta = -2**63, and
+    # past tb - 1 - ta for the last ta, an interval of 2**60 + 130
+    values = (100, 200)
+    cfg = SimConfig(c_pos=float(np.log(values[1] + 1.0) - np.log(values[0] + 1.0)))
+    seq = one_pixel_pair(values, ta)
+    stream = frames_to_events(seq, cfg)
+    assert stream == oracle_stream(seq, cfg)
+    assert stream.t.tolist() == [2**63 - 2]
 
 
 class TestPerturbExposure:
@@ -398,6 +438,28 @@ class TestFrameSequence:
     def test_numpy_integer_timestamps(self):
         frames = (np.zeros((2, 3), np.uint8),) * 2
         assert len(FrameSequence(frames, (np.int64(0), np.int64(5)))) == 2
+
+    def test_numpy_integer_timestamps_stored_as_int(self):
+        frames = (np.zeros((2, 3), np.uint8),) * 2
+        seq = FrameSequence(frames, (np.int64(-(2**62)), np.int64(2**63 - 1)))
+        assert [type(t) for t in seq.timestamps] == [int, int]
+
+    def test_lists_stored_as_tuples_equal_their_round_trip(self, tmp_path):
+        seq = FrameSequence([np.zeros((2, 3), np.uint8)] * 2, [0, 1000])
+        assert isinstance(seq.frames, tuple) and seq.timestamps == (0, 1000)
+        save_sequence(seq, tmp_path / "s")
+        assert load_sequence(tmp_path / "s").timestamps == seq.timestamps
+
+    def test_keeps_its_own_copy_of_the_caller_lists(self):
+        # the checks hold for what the sequence keeps, not for the caller's lists
+        a = (np.arange(16, dtype=np.uint8) * 16).reshape(4, 4)
+        frames, timestamps = [a, 255 - a], [0, 1000]
+        seq = FrameSequence(frames, timestamps)
+        frames.append(a)
+        timestamps.append(-5)
+        assert len(seq) == 2 and seq.timestamps == (0, 1000)
+        want = frames_to_events(FrameSequence((a, 255 - a), (0, 1000)), SimConfig())
+        assert frames_to_events(seq, SimConfig()) == want
 
     @pytest.mark.parametrize("shape", [
         (4, 5, 4), (4, 5, 1), (2, 3, 4, 3), (5,), (), (0, 5), (4, 0, 3),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfr.errors import MAX_SENSOR_SIDE, GeometryError, McfrError
-from mcfr.events import EventStream, TimeWindow
+from mcfr.events import EventStream, TimeWindow, slice_window
 from mcfr.snn import SRMParams, encode_events_to_spikes
 from mcfr.stacking import (
     assemble_input,
@@ -174,6 +174,21 @@ class TestWindowBoundsPastInt64:
             normalize_stacked(stack_events(s, window))
         with pytest.raises(McfrError, match="int64"):
             encode_events_to_spikes(s, window, SRMParams(8))
+
+    @pytest.mark.parametrize("t0,t1", [(-(2**62), 2**63 - 1), (0, 2**63 - 1),
+                                       (-5000, 40000), (3, 7)])
+    def test_numpy_bounds_give_the_python_int_window(self, t0, t1):
+        # a window stores its bounds as Python ints: as int64 scalars,
+        # t1 - t0 overflowed past int64, and the offsets refused the window
+        s = EventStream([0, 5], [0, 1], [0, 1], [1, -1], 2, 2)
+        ints, nps = TimeWindow(t0, t1), TimeWindow(np.int64(t0), np.int64(t1))
+        assert (type(nps.t0), type(nps.t1)) == (int, int)
+        assert nps == ints and hash(nps) == hash(ints)
+        assert slice_window(s, nps) == slice_window(s, ints)
+        planes = [normalize_stacked(stack_events(s, w)) for w in (ints, nps)]
+        assert planes[0].tobytes() == planes[1].tobytes()
+        spikes = [encode_events_to_spikes(s, w, SRMParams(8)) for w in (ints, nps)]
+        assert spikes[0].tobytes() == spikes[1].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
