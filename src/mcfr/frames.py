@@ -58,7 +58,8 @@ class FrameSequence:
             require_int("a timestamp", t, -2**63, 2**63 - 1, ValueError)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("timestamps must be strictly increasing")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        # a view of each frame: a caller's later reshape cannot change it
+        object.__setattr__(self, "frames", tuple(f.view() for f in self.frames))
         object.__setattr__(self, "timestamps", tuple(map(int, ts)))
 
     def __len__(self) -> int:

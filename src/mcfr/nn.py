@@ -88,13 +88,14 @@ def _conv2d(x, w, b, stride, pad, pool, pool_fn):
     y = np.empty((len(x), o, *hw), dtype=np.result_type(gemm, b))
     caches = []
     for s, cols in _col_chunks(x, kh, kw, stride, pad, oh, ow):
-        part = np.matmul(w.reshape(o, -1), cols)
-        part = np.add(part, b.reshape(1, o, 1), out=part if gemm == y.dtype else None)
-        part = part.reshape(len(cols), o, oh, ow)
+        # an unpooled conv's gemm writes y itself
+        out = y[s : s + len(cols)].reshape(len(cols), o, -1) if pool is None else None
+        part = np.matmul(w.reshape(o, -1), cols, out=out)
+        part = np.add(part, b.reshape(1, o, 1), out=part if part.dtype == y.dtype else None)
         if pool is not None:
-            part, cache = pool_fn(part, *pool)
+            part, cache = pool_fn(part.reshape(len(cols), o, oh, ow), *pool)
             caches.append(cache)
-        y[s : s + len(cols)] = part
+            y[s : s + len(cols)] = part
     return y, caches
 
 

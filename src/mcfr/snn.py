@@ -18,13 +18,22 @@ thresholding; the time mean of that drive is the branch's feature map.
 Layout: the public functions take and return (C, H, W, T) tensors, time
 last, but each layer runs time-major, in the layout of its convolution:
 nn.conv2d treats time as its batch axis and writes one contiguous
-(T, O, H', W') array. The leading steps whose filtered input is all zero
-are neither convolved nor simulated: their drive is 0.0. The threshold
-loop reads the drive in place, one contiguous (O*H'*W') row per step. A
-spike adds the refractory tail only to the columns of the neurons that
-fired; a dense update would add 0*u = -0.0 to the others, which changes
-no value, so the result is the same to the bit. Spikes and drives leave
-as (O, H', W', T) views of the time-major arrays.
+(T, O, H', W') array. A layer's filtered input is written transposed
+into a zero-padded time-major buffer, which the conv reads with pad 0,
+one block of at most _BLOCK_BYTES at a time (a channel's rows, unless the
+whole input fits) while the block is in cache. A block's rows are the
+(W, T) @ (T, T) products, on the same strided views, that one call on
+the whole input makes, so blocking changes no bit. All-zero rows at a
+block's ends are not filtered: their products are zeros, and the conv's
++0.0 bias clears the sign of a zero sum. The leading steps whose
+filtered input is all zero are neither convolved nor simulated: their
+drive is 0.0. The threshold loop visits only the steps where some drive
+reaches PHI, and only the neurons whose drive ever does: the refractory
+trace is never positive, so fl(drive + trace) <= drive, and a NaN drive
+never fires. A spike adds the refractory tail only to the columns of the
+neurons that fired; a dense update would add 0*u = -0.0 to the others,
+which changes no value, so the result is the same to the bit. Spikes and
+drives leave as (O, H', W', T) views of the time-major arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +55,8 @@ TAU_S, TAU_R, PHI, DT = 5.0, 5.0, 1.0, 1.0
 UEE_KERNEL, UEE_STRIDE, UEE_PADDING = 3, 2, 1
 # Channels of the spike encoding, the event branch's input width.
 POLARITIES = 2
+# The most filtered spikes (bytes) that _drive transposes at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,11 +135,24 @@ def _drive(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, int]:
     This is nn.conv2d on the filtered spikes, with time as its batch axis
     and a zero bias.
     """
-    f = synaptic_filter(x).transpose(3, 0, 1, 2)
-    t0 = next((k for k in range(len(f)) if f[k].any()), len(f))
+    c, h, wd, t = x.shape
+    p = UEE_PADDING
+    buf = np.zeros((t, c, h + 2 * p, wd + 2 * p), np.promote_types(x.dtype, np.float64))
+    inner = buf[:, :, p : p + h, p : p + wd]
+    # the rows that hold a nonzero input; time is reduced first unless it is innermost
+    live = x.any(axis=(2, 3)) if x.strides[3] <= x.strides[2] else x.any(axis=3).any(axis=2)
+    rows = max(1, _BLOCK_BYTES // (wd * t * buf.itemsize))
+    chans, rows = (c, h) if c * h <= rows else (1, rows)
+    for i in range(0, c, chans):
+        for j in range(0, h, rows):
+            span = np.flatnonzero(live[i : i + chans, j : j + rows].any(axis=0)) + j
+            if span.size:
+                block = slice(i, i + chans), slice(span[0], span[-1] + 1)
+                inner[:, block[0], block[1]] = synaptic_filter(x[block]).transpose(3, 0, 1, 2)
+    t0 = next((k for k in range(t) if buf[k].any()), t)
     if not np.isfinite(w).all():
         t0 = 0  # inf * 0.0 is NaN
-    return conv2d(f[t0:], w, np.zeros(w.shape[0]), UEE_STRIDE, UEE_PADDING), t0
+    return conv2d(buf[t0:], w, np.zeros(w.shape[0]), UEE_STRIDE, 0), t0
 
 
 def membrane_drive(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -146,24 +170,22 @@ def srm_layer_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     Per step: potential = weighted synaptic drive + refractory trace;
     spike where potential >= PHI; each spike adds u((k'-k)*DT) to that
     neuron's potential at all later steps k'. The loop runs on _drive's
-    time-major output, one contiguous row per step, from its step t0:
-    before it, nothing has fired, and a potential of 0.0 stays below PHI.
+    time-major output and visits only the steps where some drive reaches
+    PHI, and only the neurons whose drive ever does: no other potential
+    reaches PHI, and before _drive's t0 the drive is 0.0.
     """
     psp, t0 = _drive(x, w)
     t, (n, *cells) = x.shape[-1], psp.shape
     drive = psp.reshape(n, math.prod(cells))
-    u_tail = _refractory_tail(t)
-    fired = np.zeros((t, drive.shape[1]), dtype=bool)
-    late = fired[t0:]  # the steps _drive computed
-    refr = np.zeros_like(drive)
-    for k in range(n):
-        # no later step reads refr[k], so it takes the potential
-        np.greater_equal(np.add(drive[k], refr[k], out=refr[k]), PHI, out=late[k])
-        if k + 1 < n:
-            cols = np.flatnonzero(late[k])
-            if cols.size:
-                refr[k + 1 :, cols] += u_tail[: n - k - 1]
-    return fired.astype(np.float64).reshape(t, *cells).transpose(1, 2, 3, 0)
+    spikes = np.zeros((t, drive.shape[1]))
+    hot = drive >= PHI
+    live = np.flatnonzero(hot.any(axis=0))  # the neurons that can fire
+    drive, refr = drive[:, live], np.zeros((n, live.size), drive.dtype)
+    for k in np.flatnonzero(hot.any(axis=1)):
+        fire = drive[k] + refr[k] >= PHI
+        spikes[t0 + k, live[fire]] = 1.0
+        refr[k + 1 :, fire] += _refractory_tail(t)[: n - k - 1]
+    return spikes.reshape(t, *cells).transpose(1, 2, 3, 0)
 
 
 def mean_over_time(x: np.ndarray) -> np.ndarray:

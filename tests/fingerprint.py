@@ -17,7 +17,9 @@ two stages: "checkpoint.config" hashes its header and config JSON, and
 "checkpoint.params" its f32 body, so a change to the config format shows
 only in the first. A last stage repeats features, logits and two train
 steps on a batch of crops that spans several column chunks of every pooled
-conv (nn._col_chunks), so the chunk boundaries are hashed too. Every
+conv (nn._col_chunks), so the chunk boundaries are hashed too. The paper
+preset's event-branch layers are filtered in blocks (snn._BLOCK_BYTES) and
+the other presets' in one call, so both paths are hashed. Every
 window's event offsets fit int64, the range in which the event path gives a
 result at all. It is not named test_*, so pytest does not collect it.
 """

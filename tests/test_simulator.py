@@ -461,6 +461,16 @@ class TestFrameSequence:
         want = frames_to_events(FrameSequence((a, 255 - a), (0, 1000)), SimConfig())
         assert frames_to_events(seq, SimConfig()) == want
 
+    def test_caller_reshape_leaves_the_geometry(self):
+        # a reshaped caller array once read as an 8x2 sensor beside a 4x4 frame
+        a = (np.arange(16, dtype=np.uint8) * 16).reshape(4, 4)
+        seq = FrameSequence((a, 255 - a), (0, 1000))
+        want = frames_to_events(seq, SimConfig())
+        a.shape = (2, 8)
+        assert (seq.height, seq.width) == (4, 4)
+        assert [f.shape for f in seq.frames] == [(4, 4), (4, 4)]
+        assert frames_to_events(seq, SimConfig()) == want
+
     @pytest.mark.parametrize("shape", [
         (4, 5, 4), (4, 5, 1), (2, 3, 4, 3), (5,), (), (0, 5), (4, 0, 3),
         (MAX_SENSOR_SIDE + 1, 1),

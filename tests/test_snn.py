@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcfr import snn
 from mcfr.errors import ConfigError
 from mcfr.events import EventStream, TimeWindow
 from mcfr.network import MCFRConfig, MCFRModel
@@ -338,6 +339,78 @@ class TestTimeMajorDrive:
             assert drive.tobytes() == want.transpose(1, 2, 3, 0).tobytes()
             assert not want[:t0].any() and not np.signbit(drive[drive == 0.0]).any()
         assert t0 == 0 and np.isnan(got).any()
+
+
+class TestBlockedDrive:
+    """Inputs past _BLOCK_BYTES are filtered one block at a time, at the
+    budget and at one that cuts a 54-row channel into 20 + 20 + 14 rows.
+    The drive, the spikes and their time-major layout stay those of one
+    filter call on the whole input, to the byte."""
+
+    @pytest.fixture(params=[None, 20 * 54 * 32 * 8], ids=["budget", "20-rows-of-54"])
+    def budget(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(snn, "_BLOCK_BYTES", request.param)
+        return snn._BLOCK_BYTES
+
+    @staticmethod
+    def check(x, w, budget):
+        c, h, wd, t = x.shape
+        rows = budget // (wd * t * 8)
+        assert x.size * 8 > budget and 1 < rows and h % rows
+        with np.errstate(invalid="ignore"):  # inf * 0.0 is NaN
+            want = conv2d(synaptic_filter(x).transpose(3, 0, 1, 2), w, np.zeros(w.shape[0]),
+                          UEE_STRIDE, UEE_PADDING)
+            got, t0 = _drive(x, w)
+            drive = membrane_drive(x, w)
+            out = srm_layer_forward(x, w)
+            psp = weighted_psp_oracle(x, w)
+            spikes = srm_layer_oracle(x, w)
+        assert got.shape == want[t0:].shape and got.tobytes() == want[t0:].tobytes()
+        assert drive.tobytes() == want.transpose(1, 2, 3, 0).tobytes() == psp.tobytes()
+        assert out.tobytes() == spikes.tobytes()
+        assert out.transpose(3, 0, 1, 2).flags.c_contiguous
+        return t0, drive, out
+
+    def test_crop_view(self, budget):
+        # silent bands of +0.0 and -0.0 rows: whole blocks and block ends go unfiltered
+        rng = np.random.default_rng(0)
+        big = (rng.random((2, 120, 130, 32)) < 0.1).astype(np.float64)
+        big[:, :30] = 0.0
+        big[:, 50:75] = -0.0
+        crop = big[:, 6:113, 11:118]
+        assert crop.shape == (2, 107, 107, 32) and not crop.flags.c_contiguous
+        _, _, out = self.check(crop, rng.normal(0, 0.8, (4, 2, 3, 3)), budget)
+        assert out.any()
+
+    def test_time_major_spike_view(self, budget):
+        rng = np.random.default_rng(1)
+        x = (rng.random((32, 16, 54, 54)) < 0.2).astype(np.float64).transpose(1, 2, 3, 0)
+        x[3] = 0.0  # a silent channel
+        x[:, 40:] = 0.0
+        _, _, out = self.check(x, rng.normal(0, 0.3, (3, 16, 3, 3)), budget)
+        assert out.any()
+
+    def test_zero_input(self, budget):
+        w = np.random.default_rng(2).normal(0, 0.8, (4, 2, 3, 3))
+        t0, drive, out = self.check(np.zeros((2, 107, 107, 32)), w, budget)
+        assert t0 == 32 and not drive.any() and not out.any()
+
+    def test_inf_weight(self, budget):
+        rng = np.random.default_rng(3)
+        x = (rng.random((2, 107, 107, 32)) < 0.1).astype(np.float64)
+        w = rng.normal(0, 0.8, (2, 2, 3, 3))
+        w[1, 0, 0, 0] = np.inf
+        t0, drive, out = self.check(x, w, budget)
+        assert t0 == 0 and np.isnan(drive).any() and out.any()
+
+    def test_drive_below_threshold(self, budget):
+        # every drive below PHI: no step is hot, and the spikes are all zero
+        rng = np.random.default_rng(4)
+        x = (rng.random((2, 107, 107, 32)) < 0.3).astype(np.float64)
+        w = 0.005 * np.abs(rng.normal(0, 1.0, (3, 2, 3, 3)))
+        _, drive, out = self.check(x, w, budget)
+        assert 0.0 < drive.max() < PHI and not out.any()
 
 
 class TestCachedConstants:
